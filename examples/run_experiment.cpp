@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "campaign/worker.hpp"
@@ -226,10 +227,6 @@ int main(int argc, char** argv) {
     }
     c.shards = grid_shards;
   }
-  if (c.shards == 0) {
-    std::fprintf(stderr, "error: --shards must be >= 1\n");
-    return 2;
-  }
   if (c.progress.interval_s < 0.0) {
     std::fprintf(stderr, "error: --progress interval must be positive\n");
     return 2;
@@ -241,7 +238,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf("running %s...\n", c.label().c_str());
-  const ExperimentResult r = run_experiment(c);
+  ExperimentResult r;
+  try {
+    r = run_experiment(c);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("\n%-28s %s\n", "experiment", c.label().c_str());
   std::printf("%-28s %llu nodes, %u packets @ %.0f/s\n", "workload",

@@ -38,8 +38,9 @@ struct ExperimentConfig {
   bool grouped_delivery{true};
 
   // Spatial sharding (docs/parallel.md).  shards > 1 runs the conservative
-  // parallel engine (run_experiment dispatches to run_sharded_experiment);
-  // shards == 1 executes the exact single-threaded code path, bit for bit.
+  // parallel engine (ShardedNetwork, one world view per shard); shards == 1
+  // runs the exact single-threaded Network, bit for bit.  Both go through
+  // the same run_experiment body.
   // shard_threads is a request (0 = one worker per shard, clamped to the
   // shard count); results depend only on the shard count, never on threads.
   unsigned shards{1};
@@ -95,8 +96,8 @@ struct ExperimentConfig {
   ObsConfig obs;
 
   // Live progress heartbeat: when interval_s > 0 the run emits one
-  // RunProgress snapshot roughly every interval (wall clock) from both the
-  // monolithic and sharded drivers.  The default sink prints one JSON line
+  // RunProgress snapshot roughly every interval (wall clock) on both the
+  // monolithic and sharded engines.  The default sink prints one JSON line
   // (format_progress_json) to stderr; campaign orchestrators install their
   // own.  Pure wall-clock throttling — event order and digests never move.
   struct RunProgress {
@@ -270,6 +271,9 @@ struct ExperimentResult {
   ObsSummary obs;
 };
 
+// Throws std::invalid_argument naming the field when num_nodes < 2, rate_pps
+// is not finite and positive, or shards == 0; placement failures (no
+// connected topology within placement_attempts) propagate as thrown.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 // One-line JSON rendering of a progress snapshot (the default heartbeat

@@ -22,22 +22,12 @@ constexpr std::size_t kMrtsHistBins = 32;
 constexpr double kDelayHistHi = 2.0;
 constexpr std::size_t kDelayHistBins = 40;
 
-// One simulation world: the monolithic network, or one shard.  The collect
-// pass aggregates across worlds — counters summed, peaks maxed — so both
-// engines publish the same series.
-struct WorldRefs {
-  const Scheduler* sched;
-  const Medium* medium;
-  const ToneChannel* rbt;
-  const ToneChannel* abt;
-};
-
-void collect_phy(MetricsRegistry& reg, std::span<const WorldRefs> worlds) {
+void collect_phy(MetricsRegistry& reg, std::span<const WorldView> worlds) {
   // --- scheduler -----------------------------------------------------------
   std::uint64_t executed = 0, scheduled = 0, cancelled = 0;
   std::size_t pending_peak = 0, pool_slots = 0, pool_free = 0;
   SimTime now = SimTime::zero();
-  for (const WorldRefs& w : worlds) {
+  for (const WorldView& w : worlds) {
     executed += w.sched->executed_count();
     scheduled += w.sched->scheduled_count();
     cancelled += w.sched->cancelled_count();
@@ -64,7 +54,7 @@ void collect_phy(MetricsRegistry& reg, std::span<const WorldRefs> worlds) {
   Medium::Counters mc;
   std::uint64_t tx_started = 0, remote_mirrors = 0, remote_clamped = 0;
   std::size_t med_slots = 0, med_free = 0;
-  for (const WorldRefs& w : worlds) {
+  for (const WorldView& w : worlds) {
     const Medium::Counters& c = w.medium->counters();
     tx_started += w.medium->transmissions_started();
     mc.tx_aborted += c.tx_aborted;
@@ -118,7 +108,7 @@ void collect_phy(MetricsRegistry& reg, std::span<const WorldRefs> worlds) {
   // --- busy-tone channels --------------------------------------------------
   std::uint64_t raises[2] = {0, 0}, suppressed[2] = {0, 0};
   SimTime on_time[2] = {SimTime::zero(), SimTime::zero()};
-  for (const WorldRefs& w : worlds) {
+  for (const WorldView& w : worlds) {
     const ToneChannel* tones[2] = {w.rbt, w.abt};
     for (int t = 0; t < 2; ++t) {
       raises[t] += tones[t]->raises();
@@ -250,12 +240,11 @@ void collect_nodes(MetricsRegistry& reg, Protocol protocol, std::span<Node* cons
       .set(app_forwarded);
 }
 
-void collect_delivery(MetricsRegistry& reg,
-                      std::span<const DeliveryStats* const> parts) {
+void collect_delivery(MetricsRegistry& reg, std::span<const WorldView> worlds) {
   std::uint64_t expected = 0, delivered = 0;
-  for (const DeliveryStats* d : parts) {
-    expected += d->expected_receptions();
-    delivered += d->delivered_receptions();
+  for (const WorldView& w : worlds) {
+    expected += w.delivery->expected_receptions();
+    delivered += w.delivery->delivered_receptions();
   }
   reg.counter("rmacsim_app_expected_receptions_total", {},
               "reception slots opened (generated x group size)")
@@ -266,40 +255,21 @@ void collect_delivery(MetricsRegistry& reg,
   StreamingHistogram& delays = reg.histogram(
       "rmacsim_app_e2e_delay_seconds", 0.0, kDelayHistHi, kDelayHistBins, {},
       "end-to-end delay of delivered receptions (Fig. 9)");
-  for (const DeliveryStats* d : parts) {
-    for (const double s : d->delays_seconds()) delays.add(s);
+  for (const WorldView& w : worlds) {
+    for (const double s : w.delivery->delays_seconds()) delays.add(s);
   }
 }
 
 }  // namespace
 
-void collect_metrics(MetricsRegistry& reg, Network& net) {
-  const WorldRefs world{&net.scheduler(), &net.medium(), &net.rbt(), &net.abt()};
-  collect_phy(reg, {&world, 1});
-  std::vector<Node*> nodes;
-  nodes.reserve(net.nodes().size());
-  for (Node& n : net.nodes()) nodes.push_back(&n);
-  collect_nodes(reg, net.config().protocol, nodes);
-  const DeliveryStats* delivery = &net.delivery();
-  collect_delivery(reg, {&delivery, 1});
+void collect_metrics(MetricsRegistry& reg, Protocol protocol,
+                     std::span<const WorldView> worlds, std::span<Node* const> nodes) {
+  collect_phy(reg, worlds);
+  collect_nodes(reg, protocol, nodes);
+  collect_delivery(reg, worlds);
 }
 
-void collect_metrics(MetricsRegistry& reg, ShardedNetwork& net) {
-  std::vector<WorldRefs> worlds;
-  std::vector<const DeliveryStats*> delivery;
-  for (std::size_t s = 0; s < net.shard_count(); ++s) {
-    ShardedNetwork::Shard& sh = net.shard(s);
-    worlds.push_back(WorldRefs{&sh.scheduler, sh.medium.get(), sh.rbt.get(), sh.abt.get()});
-    delivery.push_back(&sh.delivery);
-  }
-  collect_phy(reg, worlds);
-  std::vector<Node*> nodes;
-  nodes.reserve(net.config().num_nodes);
-  for (NodeId id = 0; id < net.config().num_nodes; ++id) nodes.push_back(&net.node(id));
-  collect_nodes(reg, net.config().protocol, nodes);
-  collect_delivery(reg, delivery);
-
-  // Sharded-engine series.
+void collect_shard_metrics(MetricsRegistry& reg, ShardedNetwork& net) {
   reg.gauge("rmacsim_shard_count", {}, "spatial shards")
       .set(static_cast<double>(net.shard_count()));
   reg.gauge("rmacsim_shard_threads", {}, "effective worker threads")

@@ -1,8 +1,9 @@
 // Order-sensitive FNV-1a over the machine-readable part of a trace stream.
 // Message strings are excluded, so cosmetic format changes leave golden
 // digests alone while any behavioural change (event order, timing, frame
-// contents) shifts them.  Shared by the serial experiment driver (one digest
-// per run) and the sharded driver (one per shard, folded in shard order).
+// contents) shifts them.  The experiment driver keeps one per world view: a
+// serial run reports its single digest as is, a sharded run folds one per
+// shard in shard order.
 // A commutative companion (xsum) hashes each record independently and sums,
 // so streams that carry the same records in different order — serial vs
 // sharded — can still be compared for physical equality.
@@ -44,7 +45,7 @@ public:
     xsum_ += rh;  // wrapping, order-independent
   }
 
-  // Fold a raw value — the sharded driver combines per-shard digests with
+  // Fold a raw value — sharded runs combine per-shard digests with
   // this, in shard order.
   void feed_value(std::uint64_t v) noexcept { mix(h_, v); }
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "scenario/parallel_runner.hpp"
 
 namespace rmacsim {
@@ -40,6 +44,41 @@ TEST(Experiment, RmacStationaryProducesSaneMetrics) {
   // MRTS lengths within Fig. 3 bounds.
   EXPECT_GE(r.mrts_len_avg, 18.0);
   EXPECT_LE(r.mrts_len_max, 12.0 + 6.0 * 20.0);
+}
+
+TEST(Experiment, RejectsConfigsNoEngineCanRun) {
+  // Validation happens once, at the driver's entry, for both engines; the
+  // message names the offending field.
+  const auto expect_rejected = [](const ExperimentConfig& c, const std::string& field) {
+    EXPECT_THROW(
+        {
+          try {
+            (void)run_experiment(c);
+          } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+            throw;
+          }
+        },
+        std::invalid_argument)
+        << field;
+  };
+  for (const unsigned shards : {1u, 2u}) {
+    for (const unsigned nodes : {0u, 1u}) {
+      ExperimentConfig c = small_config(Protocol::kRmac, 1);
+      c.shards = shards;
+      c.num_nodes = nodes;
+      expect_rejected(c, "num_nodes");
+    }
+  }
+  for (const double rate : {0.0, -5.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    ExperimentConfig c = small_config(Protocol::kRmac, 1);
+    c.rate_pps = rate;
+    expect_rejected(c, "rate_pps");
+  }
+  ExperimentConfig c = small_config(Protocol::kRmac, 1);
+  c.shards = 0;
+  expect_rejected(c, "shards");
 }
 
 TEST(Experiment, BmmmStationaryRuns) {

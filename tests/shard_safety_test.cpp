@@ -89,16 +89,57 @@ TEST(ShardSafety, StrictWindowHoldsUnderGridAndRcbPartitions) {
   }
 }
 
+// Serial-vs-sharded physical equality on every figure the driver fills (the
+// Figs. 7-13 ratios, MRTS and abort statistics, MAC-believed success, tree
+// shape), the full ledger, the pooled delay distribution, and the
+// order-independent digest companion (the per-record hash sum is the same
+// number whether the records interleave serially or per shard — the ordered
+// digest is legitimately different).  Only avg_delay_s (the last bit of a
+// summation whose order is shard-major) and events_executed may differ.
+void expect_matches_serial(const ExperimentResult& serial, const ExperimentResult& sharded) {
+  EXPECT_EQ(serial.generated, sharded.generated);
+  EXPECT_EQ(serial.delivered, sharded.delivered);
+  EXPECT_EQ(serial.expected, sharded.expected);
+  EXPECT_EQ(serial.delivery_ratio, sharded.delivery_ratio);
+  EXPECT_EQ(serial.ledger.expected, sharded.ledger.expected);
+  EXPECT_EQ(serial.ledger.delivered, sharded.ledger.delivered);
+  EXPECT_EQ(serial.ledger.total_dropped(), sharded.ledger.total_dropped());
+  for (std::size_t i = 0; i < kDropReasonCount; ++i) {
+    EXPECT_EQ(serial.ledger.dropped[i], sharded.ledger.dropped[i]) << "drop reason " << i;
+  }
+  // Delay samples are ordered by delivery time serially but shard-major in
+  // the sharded result; compare as distributions.
+  EXPECT_EQ(sorted(serial.delay_samples_s), sorted(sharded.delay_samples_s));
+  EXPECT_EQ(serial.p99_delay_s, sharded.p99_delay_s);
+  EXPECT_EQ(serial.avg_drop_ratio, sharded.avg_drop_ratio);
+  EXPECT_EQ(serial.avg_retx_ratio, sharded.avg_retx_ratio);
+  EXPECT_EQ(serial.avg_txoh_ratio, sharded.avg_txoh_ratio);
+  EXPECT_EQ(serial.mrts_len_avg, sharded.mrts_len_avg);
+  EXPECT_EQ(serial.mrts_len_p99, sharded.mrts_len_p99);
+  EXPECT_EQ(serial.mrts_len_max, sharded.mrts_len_max);
+  EXPECT_EQ(serial.abort_avg, sharded.abort_avg);
+  EXPECT_EQ(serial.abort_p99, sharded.abort_p99);
+  EXPECT_EQ(serial.abort_max, sharded.abort_max);
+  EXPECT_EQ(serial.mac_believed_success, sharded.mac_believed_success);
+  EXPECT_EQ(serial.tree_hops_avg, sharded.tree_hops_avg);
+  EXPECT_EQ(serial.tree_hops_p99, sharded.tree_hops_p99);
+  EXPECT_EQ(serial.tree_children_avg, sharded.tree_children_avg);
+  EXPECT_EQ(serial.tree_children_p99, sharded.tree_children_p99);
+  EXPECT_EQ(serial.trace_digest_xsum, sharded.trace_digest_xsum);
+}
+
 TEST(ShardSafety, StrictShardedRunMatchesSerialPhysics) {
   // Stationary + zero BER + window <= tau: the sharded run is the same
-  // physical system as the serial one, so delivery outcomes, ledger totals,
-  // and the pooled delay distribution must match exactly.  (Trace digests
-  // are excluded on purpose: per-shard streams interleave differently.)
+  // physical system as the serial one, so every figure, the ledger, the
+  // pooled delay distribution, and the order-independent digest must match
+  // exactly.
   for (const std::uint64_t seed : {7u, 21u}) {
     ExperimentConfig serial = strict_config(Protocol::kRmac, seed, 2);
     serial.shards = 1;
+    serial.trace_digest = true;
     const ExperimentResult a = run_experiment(serial);
     ExperimentConfig sharded = strict_config(Protocol::kRmac, seed, 2);
+    sharded.trace_digest = true;
     if (seed == 21u) {  // alternate partitioners across seeds
       sharded.shards = 4;
       sharded.shard_partition = ShardPartition::kGrid;
@@ -108,37 +149,8 @@ TEST(ShardSafety, StrictShardedRunMatchesSerialPhysics) {
     const ExperimentResult b = run_experiment(sharded);
     SCOPED_TRACE(serial.label());
     ASSERT_GT(a.delivered, 0u);
-    EXPECT_EQ(a.generated, b.generated);
-    EXPECT_EQ(a.delivered, b.delivered);
-    EXPECT_EQ(a.expected, b.expected);
-    EXPECT_EQ(a.ledger.expected, b.ledger.expected);
-    EXPECT_EQ(a.ledger.delivered, b.ledger.delivered);
-    EXPECT_EQ(a.ledger.total_dropped(), b.ledger.total_dropped());
-    for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-      EXPECT_EQ(a.ledger.dropped[i], b.ledger.dropped[i]) << "drop reason " << i;
-    }
-    // Delay samples are ordered by delivery time serially but shard-major in
-    // the sharded result; compare as distributions.
-    EXPECT_EQ(sorted(a.delay_samples_s), sorted(b.delay_samples_s));
+    expect_matches_serial(a, b);
   }
-}
-
-// Serial-vs-sharded physical equality on every figure, the full ledger, the
-// pooled delay distribution, and the order-independent digest companion (the
-// per-record hash sum is the same number whether the records interleave
-// serially or per shard — the ordered digest is legitimately different).
-void expect_matches_serial(const ExperimentResult& serial, const ExperimentResult& sharded) {
-  EXPECT_EQ(serial.generated, sharded.generated);
-  EXPECT_EQ(serial.delivered, sharded.delivered);
-  EXPECT_EQ(serial.expected, sharded.expected);
-  EXPECT_EQ(serial.ledger.expected, sharded.ledger.expected);
-  EXPECT_EQ(serial.ledger.delivered, sharded.ledger.delivered);
-  EXPECT_EQ(serial.ledger.total_dropped(), sharded.ledger.total_dropped());
-  for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-    EXPECT_EQ(serial.ledger.dropped[i], sharded.ledger.dropped[i]) << "drop reason " << i;
-  }
-  EXPECT_EQ(sorted(serial.delay_samples_s), sorted(sharded.delay_samples_s));
-  EXPECT_EQ(serial.trace_digest_xsum, sharded.trace_digest_xsum);
 }
 
 TEST(ShardSafety, MobileStrictShardedRunMatchesSerialPhysics) {
