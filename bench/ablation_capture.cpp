@@ -5,7 +5,6 @@
 // stationary sweep with capture_ratio = 2 (a ~6 dB SINR proxy).
 #include <cstdio>
 
-#include "scenario/parallel_runner.hpp"
 #include "sweep.hpp"
 
 int main() {
@@ -35,7 +34,7 @@ int main() {
       }
     }
   }
-  const auto results = run_experiments(configs, scale.threads);
+  const auto results = run_sweep(configs, scale);
 
   std::printf("%10s %16s %16s %14s %14s\n", "rate", "R_deliv (none)", "R_deliv (2x)",
               "R_retx (none)", "R_retx (2x)");

@@ -6,7 +6,6 @@
 // per-receiver feedback keeps the two aligned.
 #include <cstdio>
 
-#include "scenario/parallel_runner.hpp"
 #include "sweep.hpp"
 
 int main() {
@@ -35,7 +34,7 @@ int main() {
       }
     }
   }
-  const auto results = run_experiments(configs, scale.threads);
+  const auto results = run_sweep(configs, scale);
 
   std::printf("%-10s %-11s %10s %10s %12s %10s\n", "proto", "mobility", "R_deliv",
               "believed", "belief-gap", "R_retx");

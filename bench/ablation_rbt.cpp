@@ -5,7 +5,6 @@
 // neither defer to it nor abort on it).
 #include <cstdio>
 
-#include "scenario/parallel_runner.hpp"
 #include "sweep.hpp"
 
 int main() {
@@ -33,7 +32,7 @@ int main() {
       }
     }
   }
-  const auto results = run_experiments(configs, scale.threads);
+  const auto results = run_sweep(configs, scale);
 
   std::printf("%10s %14s %14s %14s %14s\n", "rate", "R_deliv(on)", "R_deliv(off)",
               "R_retx(on)", "R_retx(off)");

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "scenario/parallel_runner.hpp"
 #include "sweep.hpp"
 
 int main() {
@@ -41,7 +40,7 @@ int main() {
       }
     }
   }
-  const auto results = run_experiments(configs, scale.threads);
+  const auto results = run_sweep(configs, scale);
 
   std::printf("%-8s %-11s %10s %12s %14s %12s\n", "strategy", "mobility", "R_deliv",
               "delay(s)", "sends/packet", "R_retx");

@@ -1,141 +1,131 @@
 #include "sweep.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
+#include <thread>
 
+#include "campaign/coordinator.hpp"
 #include "campaign/revision.hpp"
 #include "campaign/spec.hpp"
 #include "campaign/store.hpp"
-#include "scenario/config_key.hpp"
-#include "scenario/parallel_runner.hpp"
 #include "sim/strfmt.hpp"
 
 namespace rmacsim::bench {
 
-// Baked in by bench/CMakeLists.txt; fallback keeps non-CMake builds working.
-#ifndef RMAC_SWEEP_CACHE_DIR
-#define RMAC_SWEEP_CACHE_DIR "."
-#endif
+// RMAC_SWEEP_CACHE_DIR (the build tree) and RMAC_RUN_EXPERIMENT_BIN (the
+// worker binary) are baked in by bench/CMakeLists.txt.
 
 namespace {
 
-// Sweep results live in the campaign result store (src/campaign/store.hpp):
-// one rmacsim-cell-v1 record per (config, revision) content address, shared
-// with campaign runs.  A code change or different sweep scale lands at
-// different keys, so stale numbers from an older simulator are never mixed
-// into a figure; unlike the old flat-TSV cache, records also carry the
-// pooled delay samples and the full metrics snapshot.
-ResultStore sweep_store() { return ResultStore{cat(RMAC_SWEEP_CACHE_DIR, "/rmac_sweep_store")}; }
+constexpr MobilityScenario kScenarios[] = {MobilityScenario::kStationary,
+                                           MobilityScenario::kSpeed1,
+                                           MobilityScenario::kSpeed2};
 
-unsigned env_unsigned(const char* name, unsigned fallback) {
+// An all-digits count from the environment, at least `min`; anything else
+// (empty, signed, non-numeric, out of range) is one error line and exit 2.
+unsigned env_count(const char* name, unsigned fallback, unsigned min) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
-  return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-}
-
-// The grid cell for (point, seed).  Metrics + digest are on so the stored
-// record is the same shape a campaign worker produces for this config
-// (both are excluded from the canonical string — toggling them still hits
-// the same content address).
-ExperimentConfig sweep_config(Protocol proto, MobilityScenario mob, double rate,
-                              const SweepScale& scale, std::uint64_t seed) {
-  ExperimentConfig c;
-  c.protocol = proto;
-  c.mobility = mob;
-  c.rate_pps = rate;
-  c.num_packets = scale.packets;
-  c.num_nodes = scale.nodes;
-  c.seed = seed;
-  c.metrics.enabled = true;
-  c.metrics.keep_json = true;
-  c.metrics.out_dir.clear();
-  c.trace_digest = true;
-  return c;
+  const std::string_view text{v};
+  unsigned n = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
+  if (ec != std::errc{} || end != text.data() + text.size() || n < min) {
+    std::fprintf(stderr, "error: %s must be a %s integer (got \"%s\")\n", name,
+                 min > 0 ? "positive" : "non-negative", v);
+    std::exit(2);
+  }
+  return n;
 }
 
 }  // namespace
 
 SweepScale scale_from_env() {
   SweepScale s;
-  if (env_unsigned("RMAC_FULL", 0) != 0) {
+  if (env_count("RMAC_FULL", 0, 0) != 0) {
     s.seeds = 10;
     s.packets = 10'000;
   }
-  s.seeds = env_unsigned("RMAC_SEEDS", s.seeds);
-  s.packets = env_unsigned("RMAC_PACKETS", s.packets);
-  s.threads = env_unsigned("RMAC_THREADS", 0);
+  s.seeds = env_count("RMAC_SEEDS", s.seeds, 1);
+  s.packets = env_count("RMAC_PACKETS", s.packets, 1);
+  s.threads = env_count("RMAC_THREADS", 0, 0);
   return s;
+}
+
+std::vector<ExperimentResult> run_sweep(const std::vector<ExperimentConfig>& configs,
+                                        const SweepScale& scale) {
+  const std::string revision = build_revision();
+  std::vector<CampaignCell> cells;
+  cells.reserve(configs.size());
+  for (const ExperimentConfig& c : configs) cells.push_back(make_cell(c, revision));
+
+  CampaignOptions opts;
+  opts.workers = scale.threads != 0 ? scale.threads
+                                    : std::max(1u, std::thread::hardware_concurrency());
+  opts.store_dir = cat(RMAC_SWEEP_CACHE_DIR, "/rmac_sweep_store");
+  opts.out_dir = RMAC_SWEEP_CACHE_DIR;
+  opts.prefix = "rmac_sweep";
+  opts.worker_binary = RMAC_RUN_EXPERIMENT_BIN;
+  opts.progress = true;
+  const CampaignResult run = run_campaign(cells, opts);
+  if (!run.error.empty()) {
+    std::fprintf(stderr, "[sweep] %s\n", run.error.c_str());
+    std::exit(1);
+  }
+  for (const CellOutcome& o : run.cells) {
+    if (o.state == CellOutcome::State::kFailed) {
+      std::fprintf(stderr, "[sweep] %s: %s\n", o.label.c_str(), o.error.c_str());
+    }
+  }
+  if (!run.ok) std::exit(1);
+
+  // By key, never by label: ablation cells that differ only in a knob the
+  // label leaves out (rbt, capture, strategy) share a label.
+  const ResultStore store{opts.store_dir};
+  std::vector<ExperimentResult> results(configs.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    CellRecord rec;
+    std::string error;
+    if (!store.load(cells[i].key, rec, &error)) {
+      std::fprintf(stderr, "[sweep] %s: %s\n", cells[i].label.c_str(), error.c_str());
+      std::exit(1);
+    }
+    results[i] = std::move(rec.result);
+    results[i].config = configs[i];
+  }
+  return results;
 }
 
 std::vector<SweepPoint> run_paper_sweep(const std::vector<Protocol>& protocols,
                                         const SweepScale& scale) {
-  const MobilityScenario scenarios[] = {MobilityScenario::kStationary,
-                                        MobilityScenario::kSpeed1,
-                                        MobilityScenario::kSpeed2};
-  const ResultStore store = sweep_store();
-  const std::string revision = build_revision();
-
-  // Build the grid of single-run configs, skipping cached ones.
   std::vector<SweepPoint> points;
-  std::vector<ExperimentConfig> missing;
+  std::vector<ExperimentConfig> configs;
   for (const Protocol proto : protocols) {
-    for (const MobilityScenario mob : scenarios) {
+    for (const MobilityScenario mob : kScenarios) {
       for (const double rate : scale.rates) {
-        SweepPoint p;
-        p.protocol = proto;
-        p.mobility = mob;
-        p.rate_pps = rate;
+        points.push_back(SweepPoint{proto, mob, rate, {}, {}});
         for (unsigned s = 0; s < scale.seeds; ++s) {
-          const ExperimentConfig c = sweep_config(proto, mob, rate, scale, s + 1);
-          if (!store.contains(cell_key(canonical_config(c), revision))) missing.push_back(c);
-          // Per-seed results are filled in below once everything ran.
+          ExperimentConfig c;
+          c.protocol = proto;
+          c.mobility = mob;
+          c.rate_pps = rate;
+          c.num_packets = scale.packets;
+          c.num_nodes = scale.nodes;
+          c.seed = s + 1;
+          configs.push_back(c);
         }
-        points.push_back(std::move(p));
       }
     }
   }
 
-  if (!missing.empty()) {
-    std::fprintf(stderr, "[sweep] running %zu experiments (%u seeds x %u packets)...\n",
-                 missing.size(), scale.seeds, scale.packets);
-    std::size_t done = 0;
-    const auto results = run_experiments(missing, scale.threads,
-                                         [&](const ExperimentResult& r) {
-                                           ++done;
-                                           std::fprintf(stderr, "[sweep] %zu/%zu %s\r", done,
-                                                        missing.size(), r.config.label().c_str());
-                                         });
-    std::fprintf(stderr, "\n");
-    for (const ExperimentResult& r : results) {
-      CellRecord rec;
-      rec.canonical = canonical_config(r.config);
-      rec.key = cell_key(rec.canonical, revision);
-      rec.label = cell_label(r.config);
-      rec.revision = revision;
-      rec.result = r;
-      rec.snapshot_json = r.metrics.json;
-      std::string error;
-      if (!store.save(rec, &error)) {
-        std::fprintf(stderr, "[sweep] warning: cache write failed for %s: %s\n",
-                     rec.label.c_str(), error.c_str());
-      }
-    }
-  }
-
-  // Assemble averaged points from the (now complete) store.
+  std::vector<ExperimentResult> results = run_sweep(configs, scale);
+  auto run = results.begin();
   for (SweepPoint& p : points) {
-    for (unsigned s = 0; s < scale.seeds; ++s) {
-      const ExperimentConfig c = sweep_config(p.protocol, p.mobility, p.rate_pps, scale, s + 1);
-      CellRecord rec;
-      std::string error;
-      if (!store.load(cell_key(canonical_config(c), revision), rec, &error)) {
-        std::fprintf(stderr, "[sweep] fatal: missing record for %s: %s\n",
-                     cell_label(c).c_str(), error.c_str());
-        std::abort();
-      }
-      p.runs.push_back(std::move(rec.result));
-      p.runs.back().config = c;
-    }
+    p.runs.assign(std::make_move_iterator(run), std::make_move_iterator(run + scale.seeds));
+    run += scale.seeds;
     p.avg = average_results(p.runs);
   }
   return points;
@@ -155,10 +145,7 @@ void print_metric_table(const std::vector<SweepPoint>& points,
                         const std::vector<Protocol>& protocols,
                         const std::string& metric_name,
                         double (*extract)(const ExperimentResult&)) {
-  const MobilityScenario scenarios[] = {MobilityScenario::kStationary,
-                                        MobilityScenario::kSpeed1,
-                                        MobilityScenario::kSpeed2};
-  for (const MobilityScenario mob : scenarios) {
+  for (const MobilityScenario mob : kScenarios) {
     std::printf("\n-- %s: %s --\n", to_string(mob), metric_name.c_str());
     std::printf("%10s", "rate");
     for (const Protocol proto : protocols) std::printf("%14s", to_string(proto));

@@ -1,18 +1,22 @@
-// Shared sweep engine for the figure-reproduction benches.
+// Shared sweep engine for the figure, ablation and CSV benches.
 //
 // Every result figure in the paper (Figs. 7-13) is a 3-panel sweep over the
 // same experiment grid: {stationary, speed1, speed2} x 8 source rates x N
-// placements x {RMAC, BMMM}.  The figure benches therefore share one sweep;
-// results are cached in <build>/rmac_sweep_cache_<hash>.tsv (hashed over the
-// source revision and the grid shape) so running all seven binaries costs
-// one sweep, not seven, and a code or scale change never reuses stale
-// numbers.
+// placements x {RMAC, BMMM}.  Every bench runs its grid through the campaign
+// coordinator (src/campaign/coordinator.hpp) into one content-addressed
+// result store, <build>/rmac_sweep_store/<key>.json, keyed by the canonical
+// config and the code revision.  Running all seven figure binaries therefore
+// costs one sweep, not seven; a code or scale change lands at new keys and
+// never reuses stale numbers; and each record is byte-identical to the one
+// a `run_campaign` over the same cells writes.  The coordinator's manifest,
+// status and aggregate land next to the store as <build>/rmac_sweep_*.json.
 //
-// Scale knobs (environment):
+// Scale knobs (environment; anything but digits, or 0 seeds/packets, is an
+// error that exits 2):
 //   RMAC_FULL=1       paper-fidelity scale (10 seeds, 10000 packets) — slow
 //   RMAC_SEEDS=n      placements per data point        (default 3)
 //   RMAC_PACKETS=n    packets generated by the source  (default 1000)
-//   RMAC_THREADS=n    worker threads                   (default: hw)
+//   RMAC_THREADS=n    worker processes                 (default or 0: hw)
 //
 // The defaults moved from 2 x 300 to 3 x 1000 once the pooled delivery
 // pipeline made a 1000-packet run ~1 s: closer to the paper's averaging
@@ -36,6 +40,12 @@ struct SweepScale {
 
 [[nodiscard]] SweepScale scale_from_env();
 
+// Run (or load from the store) every config; results are positionally
+// aligned with `configs` and carry their input config.  A failed cell is
+// listed on stderr with its error and the process exits 1.
+[[nodiscard]] std::vector<ExperimentResult> run_sweep(const std::vector<ExperimentConfig>& configs,
+                                                      const SweepScale& scale);
+
 struct SweepPoint {
   Protocol protocol;
   MobilityScenario mobility;
@@ -44,7 +54,8 @@ struct SweepPoint {
   std::vector<ExperimentResult> runs;  // per-seed results
 };
 
-// Run (or load from cache) the full grid for the given protocols.
+// The full paper grid for the given protocols, in protocol -> mobility ->
+// rate order (seeds 1..n within each point).
 [[nodiscard]] std::vector<SweepPoint> run_paper_sweep(const std::vector<Protocol>& protocols,
                                                       const SweepScale& scale);
 

@@ -3,14 +3,13 @@
 // average / 99th-percentile children per non-leaf node of 3.54 / 9.
 #include <cstdio>
 
-#include "scenario/parallel_runner.hpp"
 #include "stats/percentile.hpp"
 #include "sweep.hpp"
 
 int main() {
   using namespace rmacsim;
   using namespace rmacsim::bench;
-  SweepScale scale = scale_from_env();
+  const SweepScale scale = scale_from_env();
   std::printf("==================================================================\n");
   std::printf("§4.1.1 — Tree Topology Statistics (BLESS-lite, 75 nodes, 500x300 m)\n");
   std::printf("  paper: hops avg 3.87 / p99 10; children avg 3.54 / p99 9\n");
@@ -28,7 +27,7 @@ int main() {
     c.seed = 100 + s;
     configs.push_back(c);
   }
-  const auto results = run_experiments(configs, scale.threads);
+  const auto results = run_sweep(configs, scale);
 
   SampleStats hops_avg, hops_p99, kids_avg, kids_p99;
   for (const auto& r : results) {

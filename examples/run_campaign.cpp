@@ -10,12 +10,14 @@
 //
 // Re-running an identical campaign completes from the content-addressed
 // store with zero simulation work; --force ignores cached records.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -60,6 +62,18 @@ std::vector<std::string> split_csv(const std::string& s) {
     start = comma + 1;
   }
   return out;
+}
+
+// A non-negative integer flag value; anything else is an error (exit 2).
+unsigned count_arg(const char* flag, const char* text) {
+  const std::string_view v{text};
+  unsigned n = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+  if (ec != std::errc{} || end != v.data() + v.size()) {
+    std::fprintf(stderr, "error: %s expects a non-negative integer (got \"%s\")\n", flag, text);
+    std::exit(2);
+  }
+  return n;
 }
 
 // Default --worker-bin: the run_experiment built next to this binary.
@@ -140,9 +154,9 @@ int main(int argc, char** argv) {
         spec.seeds.push_back(static_cast<std::uint64_t>(std::atoll(tok.c_str())));
       }
     } else if (arg == "--nodes") {
-      spec.base.num_nodes = static_cast<unsigned>(std::atoi(next()));
+      spec.base.num_nodes = count_arg("--nodes", next());
     } else if (arg == "--packets") {
-      spec.base.num_packets = static_cast<std::uint32_t>(std::atoi(next()));
+      spec.base.num_packets = count_arg("--packets", next());
     } else if (arg == "--payload") {
       spec.base.payload_bytes = static_cast<std::size_t>(std::atoll(next()));
     } else if (arg == "--area") {
@@ -155,9 +169,9 @@ int main(int argc, char** argv) {
       spec.base.area.width = w;
       spec.base.area.height = h;
     } else if (arg == "--shards") {
-      spec.base.shards = static_cast<unsigned>(std::atoi(next()));
+      spec.base.shards = count_arg("--shards", next());
     } else if (arg == "--workers") {
-      opts.workers = static_cast<unsigned>(std::atoi(next()));
+      opts.workers = count_arg("--workers", next());
     } else if (arg == "--store") {
       opts.store_dir = next();
     } else if (arg == "--out") {
@@ -173,13 +187,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--timeout") {
       opts.worker_timeout_s = std::atof(next());
     } else if (arg == "--retries") {
-      opts.max_attempts = static_cast<unsigned>(std::atoi(next()));
+      opts.max_attempts = count_arg("--retries", next());
     } else if (arg == "--progress") {
       opts.progress = true;
     } else if (arg == "--force") {
       opts.force = true;
     } else if (arg == "--inject-kill") {
-      opts.inject_kill_cell = static_cast<unsigned>(std::atoi(next()));
+      opts.inject_kill_cell = count_arg("--inject-kill", next());
     } else if (arg == "--print-cells") {
       print_cells = true;
     } else {

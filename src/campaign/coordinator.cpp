@@ -511,7 +511,9 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
       result.error = "campaign: worker_binary is required when workers > 0";
       return result;
     }
-    std::vector<WorkerSlot> slots(options.workers);
+    // Never more slots than cells to run: `workers` is caller-sized (e.g.
+    // from the environment) and each slot is a live process.
+    std::vector<WorkerSlot> slots(std::min<std::size_t>(options.workers, queue.size()));
     Clock::time_point last_status = Clock::now() - std::chrono::hours(1);
     while (true) {
       // Top up idle slots.

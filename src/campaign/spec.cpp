@@ -109,6 +109,7 @@ bool parse_campaign_spec(const JsonValue& doc, CampaignSpec& out, std::string* e
     }
   }
   if (base.num_nodes < 2) return set_error(error, "spec: nodes must be >= 2");
+  if (base.num_packets == 0) return set_error(error, "spec: packets must be >= 1");
 
   out = std::move(spec);
   return true;
@@ -121,6 +122,15 @@ bool parse_campaign_spec(std::string_view text, CampaignSpec& out, std::string* 
   return parse_campaign_spec(doc, out, error);
 }
 
+CampaignCell make_cell(ExperimentConfig config, std::string_view revision) {
+  CampaignCell cell;
+  cell.canonical = canonical_config(config);
+  cell.key = cell_key(cell.canonical, revision);
+  cell.label = cell_label(config);
+  cell.config = std::move(config);
+  return cell;
+}
+
 std::vector<CampaignCell> expand_cells(const CampaignSpec& spec, std::string_view revision) {
   std::vector<CampaignCell> cells;
   cells.reserve(spec.protocols.size() * spec.mobilities.size() * spec.rates.size() *
@@ -129,16 +139,12 @@ std::vector<CampaignCell> expand_cells(const CampaignSpec& spec, std::string_vie
     for (const MobilityScenario mob : spec.mobilities) {
       for (const double rate : spec.rates) {
         for (const std::uint64_t seed : spec.seeds) {
-          CampaignCell cell;
-          cell.config = spec.base;
-          cell.config.protocol = proto;
-          cell.config.mobility = mob;
-          cell.config.rate_pps = rate;
-          cell.config.seed = seed;
-          cell.canonical = canonical_config(cell.config);
-          cell.key = cell_key(cell.canonical, revision);
-          cell.label = cell_label(cell.config);
-          cells.push_back(std::move(cell));
+          ExperimentConfig config = spec.base;
+          config.protocol = proto;
+          config.mobility = mob;
+          config.rate_pps = rate;
+          config.seed = seed;
+          cells.push_back(make_cell(std::move(config), revision));
         }
       }
     }

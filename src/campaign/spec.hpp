@@ -56,6 +56,9 @@ struct CampaignCell {
 [[nodiscard]] bool parse_campaign_spec(std::string_view text, CampaignSpec& out,
                                        std::string* error = nullptr);
 
+// Resolve one config into a cell: its canonical string, key and label.
+[[nodiscard]] CampaignCell make_cell(ExperimentConfig config, std::string_view revision);
+
 // Expand the cross product in canonical order: protocol-major, then
 // mobility, then rate, then seed.
 [[nodiscard]] std::vector<CampaignCell> expand_cells(const CampaignSpec& spec,

@@ -217,8 +217,4 @@ bool ResultStore::save_line(std::string_view key, std::string_view line,
   return true;
 }
 
-bool ResultStore::save(const CellRecord& rec, std::string* error) const {
-  return save_line(rec.key, serialize_cell_record(rec), error);
-}
-
 }  // namespace rmacsim

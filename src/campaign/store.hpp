@@ -65,7 +65,6 @@ public:
   // Atomically write a serialized record line under `key`.
   [[nodiscard]] bool save_line(std::string_view key, std::string_view line,
                                std::string* error = nullptr) const;
-  [[nodiscard]] bool save(const CellRecord& rec, std::string* error = nullptr) const;
 
 private:
   std::string dir_;

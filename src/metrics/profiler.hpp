@@ -15,8 +15,8 @@
 // Scopes nest: each section accumulates *total* (inclusive) and *self*
 // (exclusive of enclosed scopes) time, so the hotspot table answers "where
 // does the wall clock actually go" rather than double-counting parents.
-// Attachment is per-thread (parallel_runner runs experiments on worker
-// threads; each run attaches its own profiler), but the section-name table
+// Attachment is per-thread (the sharded engine runs shards on worker
+// threads; each attaches its own profiler), but the section-name table
 // is global and mutex-guarded, so ids minted on any thread agree.
 //
 // The profiler reads only the wall clock, never simulation state, and

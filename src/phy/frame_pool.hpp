@@ -9,11 +9,11 @@
 // heap allocation: a frame's block returns to the pool when its last
 // reference drops and is reused by the next frame of the same size.
 //
-// The freelist is thread-local because an experiment runs wholly on one
-// thread (the parallel sweep runner gives each worker its own experiments),
-// which makes recycling lock-free.  A block freed on a different thread from
-// the one that allocated it simply goes back to that thread's heap — correct,
-// just not pooled.
+// The freelist is thread-local because a simulation loop runs wholly on one
+// thread (a serial run, or one shard worker), which makes recycling
+// lock-free.  A block freed on a different thread from the one that
+// allocated it simply goes back to that thread's heap — correct, just not
+// pooled.
 #pragma once
 
 #include <cstddef>

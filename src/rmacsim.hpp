@@ -29,7 +29,6 @@
 #include "scenario/experiment.hpp"
 #include "scenario/network_builder.hpp"
 #include "scenario/node.hpp"
-#include "scenario/parallel_runner.hpp"
 #include "sim/ids.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"

@@ -53,6 +53,9 @@ void validate(const ExperimentConfig& c) {
   if (!std::isfinite(c.rate_pps) || c.rate_pps <= 0.0) {
     throw std::invalid_argument(cat("rate_pps must be finite and > 0 (got ", c.rate_pps, ")"));
   }
+  // MulticastAppParams reads 0 packets as "unlimited": the source would run
+  // through the drain window against a zero-length generation span.
+  if (c.num_packets == 0) throw std::invalid_argument("num_packets must be >= 1 (got 0)");
   if (c.shards == 0) throw std::invalid_argument("shards must be >= 1 (got 0)");
 }
 

@@ -272,8 +272,9 @@ struct ExperimentResult {
 };
 
 // Throws std::invalid_argument naming the field when num_nodes < 2, rate_pps
-// is not finite and positive, or shards == 0; placement failures (no
-// connected topology within placement_attempts) propagate as thrown.
+// is not finite and positive, num_packets == 0, or shards == 0; placement
+// failures (no connected topology within placement_attempts) propagate as
+// thrown.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 // One-line JSON rendering of a progress snapshot (the default heartbeat

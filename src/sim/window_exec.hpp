@@ -26,8 +26,7 @@
 //
 // Exceptions: a throw from advance() stops the run after the current window;
 // the first failure in shard-index order is rethrown from run() after the
-// window barrier (same contract as scenario/parallel_runner).  The pool
-// survives a throw and can run again.
+// window barrier.  The pool survives a throw and can run again.
 #pragma once
 
 #include <condition_variable>

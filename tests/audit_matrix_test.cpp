@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "scenario/experiment.hpp"
-#include "scenario/parallel_runner.hpp"
 #include "test_util.hpp"
 
 namespace rmacsim {
@@ -40,9 +39,8 @@ TEST(AuditMatrix, PaperScenarioAuditsCleanForEveryProtocolAndSeed) {
       configs.push_back(paper_config(proto, kFirstSeed + s));
     }
   }
-  const std::vector<ExperimentResult> results = run_experiments(configs, 4);
-  ASSERT_EQ(results.size(), configs.size());
-  for (const ExperimentResult& r : results) {
+  for (const ExperimentConfig& c : configs) {
+    const ExperimentResult r = run_experiment(c);
     SCOPED_TRACE(test::seed_trace(r.config.seed));
     EXPECT_EQ(r.audit.total, 0u) << r.config.label() << " audit violations:\n"
                                  << r.audit.detail;
@@ -77,9 +75,8 @@ TEST(AuditMatrix, ShardedPaperScenarioAuditsCleanForEveryProtocol) {
       configs.push_back(c);
     }
   }
-  const std::vector<ExperimentResult> results = run_experiments(configs, 4);
-  ASSERT_EQ(results.size(), configs.size());
-  for (const ExperimentResult& r : results) {
+  for (const ExperimentConfig& config : configs) {
+    const ExperimentResult r = run_experiment(config);
     SCOPED_TRACE(test::seed_trace(r.config.seed));
     EXPECT_EQ(r.audit.total, 0u) << r.config.label() << " audit violations:\n"
                                  << r.audit.detail;

@@ -1,7 +1,7 @@
 // Campaign subsystem tests: the JSON parser, snapshot read-back and merge
 // algebra, canonical config keys, cell records / the content-addressed
 // store, and end-to-end campaigns (serial vs multi-process byte-identity,
-// cache hits, crash-retry determinism).
+// cache hits, crash-retry determinism, a failing cell among clean ones).
 //
 // The multi-process cases spawn the real run_experiment binary (path baked
 // in as RMAC_RUN_EXPERIMENT_BIN by tests/CMakeLists.txt) exactly as a
@@ -27,6 +27,7 @@
 #include "metrics/snapshot_io.hpp"
 #include "scenario/config_key.hpp"
 #include "sim/json.hpp"
+#include "sim/strfmt.hpp"
 
 namespace rmacsim {
 namespace {
@@ -265,6 +266,15 @@ TEST(CampaignSpecTest, RejectsUnknownTokens) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(CampaignSpecTest, RejectsBaseConfigsNoCellCanRun) {
+  CampaignSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_campaign_spec(R"({"nodes": 1})", spec, &error));
+  EXPECT_NE(error.find("nodes"), std::string::npos) << error;
+  EXPECT_FALSE(parse_campaign_spec(R"({"packets": 0})", spec, &error));
+  EXPECT_NE(error.find("packets"), std::string::npos) << error;
+}
+
 // ---------------------------------------------------------------------------
 // Worker + store round trip
 
@@ -437,6 +447,50 @@ TEST(CampaignTest, KilledWorkerIsRetriedWithIdenticalResults) {
     ASSERT_TRUE(killed_store.load_line(cell.key, b));
     EXPECT_EQ(a, b) << cell.label;
   }
+}
+
+TEST(CampaignTest, PoisonedCellFailsAloneInProcessAndMultiProcess) {
+  // 24 nodes over 50 km with 75 m radio range never draw a connected
+  // placement: run_experiment throws.  The failure must stay with that
+  // cell — the clean cells around it run and store the same bytes whether
+  // the campaign ran in-process or on worker processes.
+  ExperimentConfig poisoned = tiny_config(Protocol::kDcf, 5);
+  poisoned.num_nodes = 24;
+  poisoned.area = Rect{50000.0, 50000.0};
+  const std::string revision = build_revision();
+  const std::vector<CampaignCell> cells{make_cell(tiny_config(Protocol::kDcf, 1), revision),
+                                        make_cell(poisoned, revision),
+                                        make_cell(tiny_config(Protocol::kDcf, 2), revision)};
+  for (const unsigned workers : {0u, 2u}) {
+    const CampaignResult r =
+        run_campaign(cells, campaign_options(cat("camp_poison_w", workers), workers));
+    EXPECT_FALSE(r.ok) << "workers=" << workers;
+    EXPECT_EQ(r.failed, 1u) << "workers=" << workers;
+    ASSERT_EQ(r.cells.size(), cells.size());
+    EXPECT_EQ(r.cells[1].state, CellOutcome::State::kFailed);
+    EXPECT_NE(r.cells[1].error.find("connected placement"), std::string::npos)
+        << "workers=" << workers << ": " << r.cells[1].error;
+  }
+  const ResultStore serial_store{testing::TempDir() + "camp_poison_w0_store"};
+  const ResultStore parallel_store{testing::TempDir() + "camp_poison_w2_store"};
+  for (const std::size_t i : {0u, 2u}) {
+    std::string a;
+    std::string b;
+    ASSERT_TRUE(serial_store.load_line(cells[i].key, a)) << cells[i].label;
+    ASSERT_TRUE(parallel_store.load_line(cells[i].key, b)) << cells[i].label;
+    EXPECT_EQ(a, b) << cells[i].label;
+  }
+}
+
+TEST(CampaignTest, MoreWorkersThanCellsRunsEveryCell) {
+  // Worker slots are sized to the cells left to run, not to `workers`.
+  auto cells = small_grid();
+  cells.resize(2);
+  const CampaignResult r = run_campaign(cells, campaign_options("camp_wide", 64));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.ran, 2u);
+  const ResultStore store{testing::TempDir() + "camp_wide_store"};
+  for (const auto& cell : cells) EXPECT_TRUE(store.contains(cell.key)) << cell.label;
 }
 
 TEST(CampaignTest, ExhaustedRetriesQuarantineTheCell) {

@@ -1,5 +1,5 @@
-// End-to-end experiment harness tests: metric sanity, determinism, and
-// serial/parallel equivalence.
+// End-to-end experiment harness tests: metric sanity, determinism, input
+// validation and result averaging.
 #include "scenario/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -7,8 +7,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-
-#include "scenario/parallel_runner.hpp"
 
 namespace rmacsim {
 namespace {
@@ -76,6 +74,12 @@ TEST(Experiment, RejectsConfigsNoEngineCanRun) {
     c.rate_pps = rate;
     expect_rejected(c, "rate_pps");
   }
+  for (const unsigned shards : {1u, 2u}) {
+    ExperimentConfig c = small_config(Protocol::kRmac, 1);
+    c.shards = shards;
+    c.num_packets = 0;
+    expect_rejected(c, "num_packets");
+  }
   ExperimentConfig c = small_config(Protocol::kRmac, 1);
   c.shards = 0;
   expect_rejected(c, "shards");
@@ -103,26 +107,6 @@ TEST(Experiment, DifferentSeedsDiffer) {
   const ExperimentResult a = run_experiment(small_config(Protocol::kRmac, 1));
   const ExperimentResult b = run_experiment(small_config(Protocol::kRmac, 2));
   EXPECT_NE(a.events_executed, b.events_executed);
-}
-
-TEST(Experiment, ParallelRunnerMatchesSerial) {
-  std::vector<ExperimentConfig> configs{small_config(Protocol::kRmac, 3),
-                                        small_config(Protocol::kRmac, 4)};
-  const auto parallel = run_experiments(configs, 2);
-  ASSERT_EQ(parallel.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    const ExperimentResult serial = run_experiment(configs[i]);
-    EXPECT_EQ(parallel[i].delivered, serial.delivered) << i;
-    EXPECT_EQ(parallel[i].events_executed, serial.events_executed) << i;
-    EXPECT_DOUBLE_EQ(parallel[i].delivery_ratio, serial.delivery_ratio) << i;
-  }
-}
-
-TEST(Experiment, ParallelRunnerReportsProgress) {
-  std::vector<ExperimentConfig> configs{small_config(Protocol::kRmac, 5)};
-  int progress_calls = 0;
-  (void)run_experiments(configs, 1, [&](const ExperimentResult&) { ++progress_calls; });
-  EXPECT_EQ(progress_calls, 1);
 }
 
 TEST(Experiment, MobileScenarioRunsAndDeliversSomething) {

@@ -2,7 +2,7 @@
 """Plot the paper's figures from paper_sweep CSV output.
 
 Usage:
-    ./build/examples/paper_sweep 2 300 > results.csv
+    RMAC_SEEDS=2 RMAC_PACKETS=300 ./build/bench/paper_sweep > results.csv
     python3 tools/plot_results.py results.csv [outdir]
 
 Produces one PNG per reproduced figure (7-13) in the paper's 3-panel layout
