@@ -6,7 +6,9 @@
 //   ./build/examples/battlefield_multicast [packets] [rate_pps] [seed]
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
+#include "count_arg.hpp"
 #include "scenario/experiment.hpp"
 
 using namespace rmacsim;
@@ -15,14 +17,20 @@ int main(int argc, char** argv) {
   ExperimentConfig c;
   c.protocol = Protocol::kRmac;
   c.mobility = MobilityScenario::kStationary;
-  c.num_packets = argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 500;
+  c.num_packets = argc > 1 ? count_arg<std::uint32_t>("packets", argv[1]) : 500;
   c.rate_pps = argc > 2 ? std::atof(argv[2]) : 20.0;
-  c.seed = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 7;
+  c.seed = argc > 3 ? count_arg<std::uint64_t>("seed", argv[3]) : 7;
 
   std::printf("battlefield dissemination: 75 nodes, 500x300 m, %u orders at %.0f/s "
               "(seed %llu)\n\n",
               c.num_packets, c.rate_pps, static_cast<unsigned long long>(c.seed));
-  const ExperimentResult r = run_experiment(c);
+  ExperimentResult r;
+  try {
+    r = run_experiment(c);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("tree:     avg %.2f hops to command (p99 %.0f), avg %.2f units per squad "
               "leader (p99 %.0f)\n",

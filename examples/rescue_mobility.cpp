@@ -6,14 +6,15 @@
 //   ./build/examples/rescue_mobility [packets] [rate_pps]
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
+#include "count_arg.hpp"
 #include "scenario/experiment.hpp"
 
 using namespace rmacsim;
 
 int main(int argc, char** argv) {
-  const std::uint32_t packets =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 300;
+  const std::uint32_t packets = argc > 1 ? count_arg<std::uint32_t>("packets", argv[1]) : 300;
   const double rate = argc > 2 ? std::atof(argv[2]) : 20.0;
 
   std::printf("rescue scenario: 75 responders, random waypoint, %u updates at %.0f/s\n",
@@ -30,7 +31,13 @@ int main(int argc, char** argv) {
       c.num_packets = packets;
       c.rate_pps = rate;
       c.seed = 11;
-      const ExperimentResult r = run_experiment(c);
+      ExperimentResult r;
+      try {
+        r = run_experiment(c);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+      }
       std::printf("%-8s %-8s %10.4f %10.3f %10.3f %10.3f\n", to_string(proto), to_string(mob),
                   r.delivery_ratio, r.avg_delay_s, r.avg_retx_ratio, r.avg_txoh_ratio);
     }

@@ -10,7 +10,6 @@
 //
 // Re-running an identical campaign completes from the content-addressed
 // store with zero simulation work; --force ignores cached records.
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +24,7 @@
 #include "campaign/coordinator.hpp"
 #include "campaign/revision.hpp"
 #include "campaign/spec.hpp"
+#include "count_arg.hpp"
 
 using namespace rmacsim;
 
@@ -64,18 +64,6 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-// A non-negative integer flag value; anything else is an error (exit 2).
-unsigned count_arg(const char* flag, const char* text) {
-  const std::string_view v{text};
-  unsigned n = 0;
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-  if (ec != std::errc{} || end != v.data() + v.size()) {
-    std::fprintf(stderr, "error: %s expects a non-negative integer (got \"%s\")\n", flag, text);
-    std::exit(2);
-  }
-  return n;
-}
-
 // Default --worker-bin: the run_experiment built next to this binary.
 std::string sibling_run_experiment() {
   char buf[4096];
@@ -102,7 +90,6 @@ const char* state_name(CellOutcome::State s) {
 int main(int argc, char** argv) {
   CampaignSpec spec;
   CampaignOptions opts;
-  bool have_spec_file = false;
   bool print_cells = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -124,7 +111,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: %s: %s\n", path, error.c_str());
         return 2;
       }
-      have_spec_file = true;
     } else if (arg == "--protocols") {
       spec.protocols.clear();
       for (const auto& tok : split_csv(next())) {
@@ -151,14 +137,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--seeds") {
       spec.seeds.clear();
       for (const auto& tok : split_csv(next())) {
-        spec.seeds.push_back(static_cast<std::uint64_t>(std::atoll(tok.c_str())));
+        spec.seeds.push_back(count_arg<std::uint64_t>("--seeds", tok.c_str()));
       }
     } else if (arg == "--nodes") {
       spec.base.num_nodes = count_arg("--nodes", next());
     } else if (arg == "--packets") {
       spec.base.num_packets = count_arg("--packets", next());
     } else if (arg == "--payload") {
-      spec.base.payload_bytes = static_cast<std::size_t>(std::atoll(next()));
+      spec.base.payload_bytes = count_arg<std::size_t>("--payload", next());
     } else if (arg == "--area") {
       double w = 0.0;
       double h = 0.0;
@@ -200,6 +186,11 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  // Inline flags get the base-config check a spec file gets.
+  if (std::string error; !check_campaign_base(spec.base, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
   if (opts.max_attempts == 0) {
     std::fprintf(stderr, "error: --retries must be >= 1\n");
     return 2;
@@ -207,7 +198,6 @@ int main(int argc, char** argv) {
   if (opts.workers > 0 && opts.worker_binary.empty()) {
     opts.worker_binary = sibling_run_experiment();
   }
-  (void)have_spec_file;
 
   const std::vector<CampaignCell> cells = expand_cells(spec, build_revision());
   if (cells.empty()) {

@@ -10,7 +10,8 @@
 //       [--telemetry] [--progress sec]
 //
 // --shards > 1 runs the spatially sharded parallel engine (docs/parallel.md)
-// with one worker thread per shard unless --shard-threads overrides it;
+// with one worker thread per shard (up to the usable CPUs) unless
+// --shard-threads overrides it;
 // --lookahead-us sets the window floor (0 = strict mode, window = tau).
 // --shard-partition picks the spatial partitioner; --shard-grid fixes the
 // grid shape (implies --shard-partition grid and --shards R*C; an explicit
@@ -43,6 +44,7 @@
 #include <string>
 
 #include "campaign/worker.hpp"
+#include "count_arg.hpp"
 #include "scenario/experiment.hpp"
 
 using namespace rmacsim;
@@ -141,13 +143,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--rate") {
       c.rate_pps = std::atof(next());
     } else if (arg == "--packets") {
-      c.num_packets = static_cast<std::uint32_t>(std::atoi(next()));
+      c.num_packets = count_arg<std::uint32_t>("--packets", next());
     } else if (arg == "--seed") {
-      c.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      c.seed = count_arg<std::uint64_t>("--seed", next());
     } else if (arg == "--nodes") {
-      c.num_nodes = static_cast<unsigned>(std::atoi(next()));
+      c.num_nodes = count_arg("--nodes", next());
     } else if (arg == "--payload") {
-      c.payload_bytes = static_cast<std::size_t>(std::atoll(next()));
+      c.payload_bytes = count_arg<std::size_t>("--payload", next());
     } else if (arg == "--area") {
       const char* spec = next();
       double w = 0.0;
@@ -163,7 +165,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--capture") {
       c.phy.capture_ratio = std::atof(next());
     } else if (arg == "--queue-limit") {
-      c.mac.queue_limit = static_cast<std::size_t>(std::atoll(next()));
+      c.mac.queue_limit = count_arg<std::size_t>("--queue-limit", next());
     } else if (arg == "--no-rbt") {
       c.rbt_protection = false;
     } else if (arg == "--audit") {
@@ -185,12 +187,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--profile") {
       c.profile = true;
     } else if (arg == "--shards") {
-      c.shards = static_cast<unsigned>(std::atoi(next()));
+      c.shards = count_arg("--shards", next());
       shards_explicit = true;
     } else if (arg == "--shard-threads") {
-      c.shard_threads = static_cast<unsigned>(std::atoi(next()));
+      c.shard_threads = count_arg("--shard-threads", next());
     } else if (arg == "--lookahead-us") {
-      c.shard_lookahead_floor = SimTime::us(std::atoll(next()));
+      c.shard_lookahead_floor = SimTime::us(count_arg<std::uint32_t>("--lookahead-us", next()));
     } else if (arg == "--shard-partition") {
       c.shard_partition = parse_partition(next());
     } else if (arg == "--shard-grid") {

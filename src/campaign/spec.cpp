@@ -28,6 +28,12 @@ std::string cell_label(const ExperimentConfig& config) {
              double_token(config.rate_pps), "/s", config.seed);
 }
 
+bool check_campaign_base(const ExperimentConfig& base, std::string* error) {
+  if (base.num_nodes < 2) return set_error(error, "nodes must be >= 2");
+  if (base.num_packets == 0) return set_error(error, "packets must be >= 1");
+  return true;
+}
+
 bool parse_campaign_spec(const JsonValue& doc, CampaignSpec& out, std::string* error) {
   if (!doc.is_object()) return set_error(error, "spec: document is not an object");
   if (const JsonValue* schema = doc.find("schema");
@@ -108,8 +114,9 @@ bool parse_campaign_spec(const JsonValue& doc, CampaignSpec& out, std::string* e
       return set_error(error, cat("spec: unknown strategy ", v->as_string()));
     }
   }
-  if (base.num_nodes < 2) return set_error(error, "spec: nodes must be >= 2");
-  if (base.num_packets == 0) return set_error(error, "spec: packets must be >= 1");
+  if (std::string why; !check_campaign_base(base, &why)) {
+    return set_error(error, cat("spec: ", why));
+  }
 
   out = std::move(spec);
   return true;

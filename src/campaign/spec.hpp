@@ -56,6 +56,11 @@ struct CampaignCell {
 [[nodiscard]] bool parse_campaign_spec(std::string_view text, CampaignSpec& out,
                                        std::string* error = nullptr);
 
+// The base-config check every spec passes, whether it came from a file or
+// from run_campaign's inline flags: rejects a base no cell can run.
+[[nodiscard]] bool check_campaign_base(const ExperimentConfig& base,
+                                       std::string* error = nullptr);
+
 // Resolve one config into a cell: its canonical string, key and label.
 [[nodiscard]] CampaignCell make_cell(ExperimentConfig config, std::string_view revision);
 

@@ -36,6 +36,7 @@
 #include "scenario/sharded_network.hpp"
 #include "scenario/trace_digest.hpp"
 #include "sim/strfmt.hpp"
+#include "sim/window_exec.hpp"
 
 #ifndef RMAC_GIT_REVISION
 #define RMAC_GIT_REVISION "unknown"
@@ -307,19 +308,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   // The profiler is thread-local: one on the driving thread (the whole
-  // monolithic run; the sharded plan phase, or every phase when its executor
-  // runs serial), plus one per pool worker attached through the sharded
-  // engine's worker hook.  It reads nothing but the wall clock; digests and
-  // event order are unaffected.
+  // monolithic run; on the sharded engine the plan phase and worker 0's
+  // shards, since the driving thread is worker 0), plus one per pool worker
+  // 1..T-1 attached through the sharded engine's worker hook.  It reads
+  // nothing but the wall clock; digests and event order are unaffected.
   std::optional<Profiler> profiler;
   if (config.profile) {
-    const unsigned workers =
-        config.shard_threads == 0 ? static_cast<unsigned>(S)
-                                  : std::min(config.shard_threads, static_cast<unsigned>(S));
+    const unsigned workers = WindowExecutor::resolve_threads(S, config.shard_threads);
     if (sharded && workers > 1) {
-      worker_profilers.resize(workers);
-      sharded->set_worker_hook(
-          [&worker_profilers](unsigned w) { worker_profilers[w].attach(); });
+      worker_profilers.resize(workers - 1);
+      sharded->set_worker_hook([&worker_profilers](unsigned w) {
+        if (w == 0) return;  // the driving thread keeps its own profiler
+        Profiler& p = worker_profilers[w - 1];
+        if (Profiler::current() != &p) p.attach();
+      });
     }
     profiler.emplace();
     profiler->attach();
@@ -494,9 +496,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     r.profile.wall_s = run_wall_s;
     r.profile.events_per_sec =
         run_wall_s > 0.0 ? static_cast<double>(r.events_executed) / run_wall_s : 0.0;
-    std::vector<Profiler::Report> reports{profiler->report()};
-    for (const Profiler& p : worker_profilers) reports.push_back(p.report());
-    r.profile.report = merge_profiler_reports(reports);
+    r.profile.threads.push_back(profiler->report());
+    for (const Profiler& p : worker_profilers) r.profile.threads.push_back(p.report());
+    r.profile.report = merge_profiler_reports(r.profile.threads);
     r.profile.report.wall_s = run_wall_s;
     Profiler::detach();
   }

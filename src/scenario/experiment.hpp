@@ -41,8 +41,9 @@ struct ExperimentConfig {
   // parallel engine (ShardedNetwork, one world view per shard); shards == 1
   // runs the exact single-threaded Network, bit for bit.  Both go through
   // the same run_experiment body.
-  // shard_threads is a request (0 = one worker per shard, clamped to the
-  // shard count); results depend only on the shard count, never on threads.
+  // shard_threads is a request (0 = one worker per shard, up to the usable
+  // CPUs; an explicit count is clamped to the shard count); results depend
+  // only on the shard count, never on threads.
   unsigned shards{1};
   unsigned shard_threads{0};
   // Window-width floor passed to the engine: windows are max(tau, floor).
@@ -209,6 +210,9 @@ struct ExperimentResult {
     double wall_s{0.0};          // run_until wall time (warmup + traffic)
     double events_per_sec{0.0};  // events_executed / wall_s
     Profiler::Report report;     // per-section hotspot table
+    // The per-thread reports merged into `report`: the driving thread first,
+    // then one per sharded pool worker.
+    std::vector<Profiler::Report> threads;
   };
   ProfileSummary profile;
 

@@ -56,7 +56,7 @@ struct NetworkConfig {
   // (scenario/sharded_network.*; docs/parallel.md).  Network itself always
   // builds the single-threaded world and ignores them.
   unsigned shards{1};
-  unsigned shard_threads{0};  // 0 = one worker thread per shard
+  unsigned shard_threads{0};  // 0 = one per shard, up to the usable CPUs
   // Window-width floor: windows are max(tau, floor) wide.  Above tau the
   // engine clamps late cross-shard arrivals (counted, not exact); 0 keeps
   // windows at tau for bit-exact boundary physics at the cost of barriers.

@@ -92,8 +92,9 @@ public:
   // Count structural safety violations while applying messages (tests).
   void set_safety_check(bool on) noexcept { safety_check_ = on; }
 
-  // Per-window worker setup seam (profiler attachment).  Install before the
-  // first run_until.
+  // Per-window worker setup seam (profiler attachment): hook(w) runs on
+  // worker w's thread, and worker 0 is the thread calling run_until.  Install
+  // before the first run_until.
   void set_worker_hook(std::function<void(unsigned)> hook);
 
   // Per-barrier telemetry (window span/tau, per-shard events and busy-ns,

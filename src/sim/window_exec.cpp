@@ -33,13 +33,59 @@ void pin_to_cpu(unsigned worker) {
           .count());
 }
 
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Wait until `word` no longer holds `old` and return its new value: spin for
+// up to `spin_ns`, then park in atomic::wait.  Acquire order throughout, so
+// the caller sees every write the changer made before its release.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word, std::uint32_t old,
+                           std::uint64_t spin_ns) {
+  std::uint32_t v = word.load(std::memory_order_acquire);
+  if (v == old && spin_ns > 0) {
+    const std::uint64_t deadline = mono_ns() + spin_ns;
+    for (unsigned i = 1; v == old; ++i) {
+      cpu_relax();
+      v = word.load(std::memory_order_acquire);
+      if (i % 64 == 0 && mono_ns() >= deadline) break;
+    }
+  }
+  while (v == old) {
+    word.wait(old, std::memory_order_acquire);
+    v = word.load(std::memory_order_acquire);
+  }
+  return v;
+}
+
 }  // namespace
+
+unsigned WindowExecutor::usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+unsigned WindowExecutor::resolve_threads(std::size_t shards, unsigned requested) {
+  const std::size_t want =
+      requested == 0 ? std::min<std::size_t>(shards, usable_cpus()) : requested;
+  return static_cast<unsigned>(std::clamp<std::size_t>(want, 1, shards));
+}
 
 WindowExecutor::WindowExecutor(std::size_t shards, unsigned threads, PlanFn plan,
                                AdvanceFn advance, bool pin_workers)
     : shards_{shards},
-      threads_{static_cast<unsigned>(std::clamp<std::size_t>(
-          threads == 0 ? shards : threads, 1, shards))},
+      threads_{resolve_threads(shards, threads)},
+      spin_ns_{threads_ > usable_cpus() ? 0 : kSpinNs},
       plan_{std::move(plan)},
       advance_{std::move(advance)},
       pin_{pin_workers},
@@ -49,90 +95,58 @@ WindowExecutor::WindowExecutor(std::size_t shards, unsigned threads, PlanFn plan
       errors_(shards) {}
 
 WindowExecutor::~WindowExecutor() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
+  stop_ = true;
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
   for (std::thread& t : pool_) t.join();
-}
-
-void WindowExecutor::run() {
-  if (threads_ == 1) {
-    run_serial();
-  } else {
-    run_parallel();
-  }
-}
-
-void WindowExecutor::run_serial() {
-  if (collect_) idle_from_ns_ = mono_ns();
-  for (;;) {
-    const SimTime barrier = plan_();
-    if (barrier == SimTime::max()) return;
-    ++windows_;
-    if (hook_) hook_(0);
-    if (collect_) {
-      const std::uint64_t t0 = mono_ns();
-      last_wait_ns_ = t0 - idle_from_ns_;
-      for (std::size_t s = 0; s < shards_; ++s) advance_(s, barrier);
-      const std::uint64_t t1 = mono_ns();
-      last_exec_[0] = t1 - t0;
-      last_stall_[0] = 0;
-      idle_from_ns_ = t1;
-    } else {
-      for (std::size_t s = 0; s < shards_; ++s) advance_(s, barrier);
-    }
-  }
 }
 
 void WindowExecutor::start_pool() {
   if (!pool_.empty()) return;
-  pool_.reserve(threads_);
-  for (unsigned w = 0; w < threads_; ++w) {
-    pool_.emplace_back([this, w] { worker_main(w); });
+  pool_.reserve(threads_ - 1);
+  // Each worker starts from the generation current at spawn, so a window
+  // published before the thread first runs is still seen as new.
+  const std::uint32_t gen = generation_.load(std::memory_order_relaxed);
+  for (unsigned w = 1; w < threads_; ++w) {
+    pool_.emplace_back([this, w, gen] { worker_main(w, gen); });
   }
 }
 
-void WindowExecutor::worker_main(unsigned w) {
+void WindowExecutor::worker_main(unsigned w, std::uint32_t seen) {
   if (pin_) pin_to_cpu(w);
-  std::uint64_t seen = 0;
+  const std::uint32_t pool = threads_ - 1;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-    }
-    // barrier_time_ was published under mu_ before the generation bump and
-    // stays frozen until every worker arrives, so this unlocked read is
-    // ordered by the wait above.
-    const SimTime until = barrier_time_;
-    if (hook_) hook_(w);
-    for (std::size_t s = w; s < shards_; s += threads_) {
-      if (errors_[s] != nullptr) continue;
-      try {
-        advance_(s, until);
-      } catch (...) {
-        errors_[s] = std::current_exception();
-      }
-    }
+    seen = await_change(generation_, seen, spin_ns_);
+    if (stop_) return;
+    advance_owned(w, barrier_time_);
     if (collect_) arrive_ns_[w] = mono_ns();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (++arrived_ == threads_) cv_done_.notify_one();
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == pool) arrived_.notify_one();
+  }
+}
+
+void WindowExecutor::advance_owned(unsigned w, SimTime until) {
+  if (hook_) hook_(w);
+  for (std::size_t s = w; s < shards_; s += threads_) {
+    try {
+      advance_(s, until);
+    } catch (...) {
+      errors_[s] = std::current_exception();
     }
   }
 }
 
 void WindowExecutor::dispatch_window(SimTime barrier) {
   const std::uint64_t t0 = collect_ ? mono_ns() : 0;
-  std::unique_lock<std::mutex> lk(mu_);
   barrier_time_ = barrier;
-  arrived_ = 0;
-  ++generation_;
-  cv_work_.notify_all();
-  cv_done_.wait(lk, [&] { return arrived_ == threads_; });
+  arrived_.store(0, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
+  advance_owned(0, barrier);
+  if (collect_) arrive_ns_[0] = mono_ns();
+  const std::uint32_t pool = threads_ - 1;
+  for (std::uint32_t a = arrived_.load(std::memory_order_acquire); a != pool;) {
+    a = await_change(arrived_, a, spin_ns_);
+  }
   if (collect_) {
     std::uint64_t t_last = t0;
     for (unsigned w = 0; w < threads_; ++w) t_last = std::max(t_last, arrive_ns_[w]);
@@ -145,30 +159,17 @@ void WindowExecutor::dispatch_window(SimTime barrier) {
   }
 }
 
-void WindowExecutor::run_parallel() {
+void WindowExecutor::run() {
   start_pool();
   std::fill(errors_.begin(), errors_.end(), nullptr);
   if (collect_) idle_from_ns_ = mono_ns();
   for (;;) {
-    const bool failed = std::any_of(errors_.begin(), errors_.end(),
-                                    [](const std::exception_ptr& e) { return e != nullptr; });
-    SimTime next = SimTime::max();
-    std::exception_ptr plan_error;
-    if (!failed) {
-      try {
-        next = plan_();
-      } catch (...) {
-        plan_error = std::current_exception();
-      }
+    // A failed window ends the run; the pool stays parked for the next one.
+    for (const std::exception_ptr& e : errors_) {
+      if (e != nullptr) std::rethrow_exception(e);
     }
-    if (failed || plan_error != nullptr || next == SimTime::max()) {
-      // The pool stays parked for the next run; only report this one.
-      if (plan_error != nullptr) std::rethrow_exception(plan_error);
-      for (const std::exception_ptr& e : errors_) {
-        if (e != nullptr) std::rethrow_exception(e);
-      }
-      return;
-    }
+    const SimTime next = plan_();
+    if (next == SimTime::max()) return;
     ++windows_;
     dispatch_window(next);
   }

@@ -10,12 +10,23 @@
 // lookahead); this class owns only the thread pool and the barrier protocol,
 // so it can be tested in isolation and reused by any shard-shaped workload.
 //
-// The pool is persistent: workers are spawned once (lazily, on the first
-// parallel run) and parked on a condition variable between windows, so a run
-// with tens of thousands of sub-millisecond windows pays one notify/wait
-// round-trip per window instead of a thread spawn + join.  run() is
-// repeatable — the sharded engine calls it once per run_until() span
-// (warmup, measurement, drain) against the same pool.
+// The thread calling run() plans every window and is worker 0: it publishes
+// the barrier, advances its own shards, then waits for the other T−1
+// workers.  The pool therefore holds T−1 threads, spawned once (lazily, on
+// the first run with T > 1) and kept across windows and across run() calls
+// — the sharded engine calls run() once per run_until() span (warmup,
+// measurement, drain) against the same pool.
+//
+// Barrier: two atomic words, no lock.  The planner publishes a window by
+// bumping a generation counter; each pool worker counts itself into an
+// arrival counter when its shards reach the barrier.  A waiting thread —
+// worker on the generation, planner on the arrivals — spins for a fixed
+// budget (kSpinNs of `pause`) and then parks in std::atomic::wait, so a run
+// of tens of thousands of microsecond windows pays a few cache-line
+// transfers per window, while an idle pool (between runs, or behind a long
+// serial plan phase) sleeps in the kernel.  When T exceeds the CPUs the
+// process may use, a spinner would only steal the core of the thread it
+// waits for: the spin budget is then 0 and waiters park at once.
 //
 // Determinism: shards — not threads — are the unit of work.  Worker w always
 // owns shards {w, w+T, w+2T, ...} and shards never share mutable state, so
@@ -29,11 +40,11 @@
 // window barrier.  The pool survives a throw and can run again.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -48,16 +59,19 @@ public:
   // distinct shards, never concurrently for the same shard.
   using PlanFn = std::function<SimTime()>;
   using AdvanceFn = std::function<void(std::size_t shard, SimTime until)>;
-  // Runs on a pool thread at the start of every window it works, before any
-  // advance() call — the seam for per-thread setup such as profiler
+  // Runs on worker w's thread at the start of every window, before any of
+  // its advance() calls — the seam for per-thread setup such as profiler
   // attachment (idempotent; a thread-local store per window is noise next to
-  // advancing a shard).
+  // advancing a shard).  Worker 0 is the thread that called run().
   using WorkerHook = std::function<void(unsigned worker)>;
 
-  // `threads` is a request: 0 means one thread per shard; the effective
-  // count is clamped to [1, shards].  threads() reports the resolution.
-  // `pin_workers` requests best-effort CPU affinity (worker w → CPU
-  // w % hardware_concurrency on Linux; a no-op elsewhere or on failure),
+  // How long a waiting thread spins before it parks.
+  static constexpr std::uint64_t kSpinNs = 50'000;
+
+  // `threads` is a request, resolved by resolve_threads(); threads()
+  // reports the resolution.  `pin_workers` requests best-effort CPU affinity
+  // for the pool (worker w → CPU w % hardware_concurrency on Linux; a no-op
+  // elsewhere or on failure; worker 0 is the caller and stays unpinned),
   // keeping the shard→worker→core placement stable for cache and NUMA
   // locality.
   WindowExecutor(std::size_t shards, unsigned threads, PlanFn plan, AdvanceFn advance,
@@ -67,18 +81,24 @@ public:
   WindowExecutor(const WindowExecutor&) = delete;
   WindowExecutor& operator=(const WindowExecutor&) = delete;
 
+  // The effective worker count for a request: 0 means one per shard, up to
+  // the usable CPUs; an explicit count is kept, clamped to [1, shards].
+  [[nodiscard]] static unsigned resolve_threads(std::size_t shards, unsigned requested);
+  // CPUs this process may run on (its affinity mask on Linux, else
+  // hardware_concurrency), at least 1.
+  [[nodiscard]] static unsigned usable_cpus();
+
   // Install/replace the per-window worker hook.  Call only between runs.
   void set_worker_hook(WorkerHook hook) { hook_ = std::move(hook); }
 
   // Per-window wall-clock timing (window telemetry).  When enabled, the
   // executor records for the most recent window: each worker's execute span
   // (work publication to its barrier arrival), its barrier stall (arrival to
-  // the last worker's arrival), and the uniform parked span before the
-  // window (the serial plan phase).  Totals live in WindowTelemetry; this
-  // class only keeps the last window so the plan phase of window k+1 can
-  // read window k's spans — the barrier handshake orders those reads.  Costs
-  // a few steady_clock reads per window; off by default.  Call only between
-  // runs.
+  // the last worker's arrival), and the uniform span before the window (the
+  // serial plan phase).  Totals live in WindowTelemetry; this class only
+  // keeps the last window so the plan phase of window k+1 can read window
+  // k's spans — the barrier handshake orders those reads.  Costs a few
+  // steady_clock reads per window; off by default.  Call only between runs.
   void set_collect_timing(bool on) noexcept { collect_ = on; }
   [[nodiscard]] const std::vector<std::uint64_t>& last_execute_ns() const noexcept {
     return last_exec_;
@@ -95,14 +115,14 @@ public:
   [[nodiscard]] bool pinning_requested() const noexcept { return pin_; }
 
 private:
-  void run_serial();
-  void run_parallel();
   void start_pool();
-  void worker_main(unsigned w);
+  void worker_main(unsigned w, std::uint32_t seen);
+  void advance_owned(unsigned w, SimTime until);
   void dispatch_window(SimTime barrier);
 
   std::size_t shards_;
   unsigned threads_;
+  std::uint64_t spin_ns_;
   PlanFn plan_;
   AdvanceFn advance_;
   WorkerHook hook_;
@@ -112,27 +132,25 @@ private:
 
   // Timing state (valid only while collect_): per-worker spans of the last
   // window plus the wall instant the previous window (or run) ended.
-  // Workers write arrive_ns_[w] before taking the arrival lock; the main
-  // thread reads after the cv_done_ wakeup, so the mutex orders every pair.
+  // Workers write arrive_ns_[w] before counting themselves into arrived_;
+  // the planner reads after seeing the full count, which orders every pair.
   std::vector<std::uint64_t> arrive_ns_;
   std::vector<std::uint64_t> last_exec_;
   std::vector<std::uint64_t> last_stall_;
   std::uint64_t last_wait_ns_{0};
   std::uint64_t idle_from_ns_{0};
 
-  // Generation-counter barrier.  The main thread publishes barrier_time_ and
-  // bumps generation_ under the mutex; workers wake on cv_work_, advance
-  // their shards, and the last arrival signals cv_done_.  One mutex, two
-  // condvars, zero allocations per window.
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_{0};
-  unsigned arrived_{0};
+  // The barrier.  The planner writes barrier_time_ (and stop_), resets
+  // arrived_, then bumps generation_ with release order; a worker's acquire
+  // load of the new generation makes those writes visible.  Each pool
+  // worker's acq_rel increment of arrived_ publishes its shards' state and
+  // error slots to the planner.  Zero allocations and no lock per window.
+  std::atomic<std::uint32_t> generation_{0};
+  std::atomic<std::uint32_t> arrived_{0};
   bool stop_{false};
   SimTime barrier_time_{SimTime::zero()};
   // One slot per shard: a worker never writes another worker's slots, and
-  // the arrival handshake orders every write against the main thread's reads.
+  // the arrival handshake orders every write against the planner's reads.
   std::vector<std::exception_ptr> errors_;
   std::vector<std::thread> pool_;
 };

@@ -6,6 +6,9 @@
 // (hash-map iteration, heap tie-breaks, rebuild timing).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "scenario/experiment.hpp"
 
 namespace rmacsim {
@@ -239,6 +242,35 @@ TEST(Determinism, GridAndRcbPartitionsAreThreadAndRepeatInvariant) {
       }
     }
   }
+}
+
+TEST(Determinism, ShardedProfileCallTotalsAreThreadInvariant) {
+  // The thread driving a sharded run is worker 0: its shards' sections land
+  // in that thread's own profiler (never a replacement), the pool worker's
+  // in its own.  Call totals summed over the per-thread reports count simulated
+  // work only, so two threads must match one, and each report's self time
+  // must fit in its own wall.  The paper's 75-node cell, shortened.
+  ExperimentConfig c;
+  c.num_packets = 20;
+  c.rate_pps = 20.0;
+  c.warmup = SimTime::sec(5);
+  c.drain = SimTime::sec(2);
+  c.shards = 2;
+  c.profile = true;
+  std::map<std::string, std::uint64_t> calls[2];
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    c.shard_threads = threads;
+    const ExperimentResult r = run_experiment(c);
+    ASSERT_EQ(r.profile.threads.size(), threads);  // driving thread, then pool
+    for (const Profiler::Report& rep : r.profile.threads) {
+      EXPECT_FALSE(rep.sections.empty());
+      EXPECT_LE(rep.accounted_s, rep.wall_s);
+      for (const Profiler::SectionStats& s : rep.sections) calls[threads - 1][s.name] += s.calls;
+    }
+  }
+  EXPECT_FALSE(calls[0].empty());
+  EXPECT_EQ(calls[0], calls[1]);
 }
 
 }  // namespace
