@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the simulator hot paths: event
-// scheduling, medium broadcast fan-out, tone-window queries, and a whole
-// small experiment as the end-to-end figure of merit.
+// scheduling, medium broadcast fan-out, tone sensing and window queries, and
+// a whole small experiment as the end-to-end figure of merit.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -237,6 +237,46 @@ void BM_ToneWindowQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ToneWindowQuery);
+
+// Backoff-slot carrier sense (RmacProtocol::channels_idle) on the paper's
+// 75-node 500x300 m cell: 4 RBTs sounding and 30 sources that dropped their
+// tone 240 ns before the query.  Those are still inside the 250 ns
+// full-range edge, so they stay listed, but only the range's rim hears them:
+// a query that hears nothing walks all 34 entries.  Arg: 0 stationary,
+// 1 random waypoint at 0-8 m/s (the walk then recomputes mobile positions).
+void BM_ToneSensedAt(benchmark::State& state) {
+  const bool mobile = state.range(0) != 0;
+  Scheduler sched;
+  PhyParams phy;
+  ToneChannel chan{sched, phy, "RBT"};
+  const RandomWaypointParams rwp{Rect{500.0, 300.0}, 0.0, 8.0, SimTime::sec(5)};
+  Rng rng{42};
+  std::vector<std::unique_ptr<MobilityModel>> mobs;
+  for (NodeId i = 0; i < 75; ++i) {
+    const Vec2 p{rng.uniform(0.0, 500.0), rng.uniform(0.0, 300.0)};
+    if (mobile) {
+      mobs.push_back(std::make_unique<RandomWaypointMobility>(p, rwp, rng.fork(i)));
+    } else {
+      mobs.push_back(std::make_unique<StationaryMobility>(p));
+    }
+    chan.attach(i, *mobs.back());
+  }
+  sched.run_until(SimTime::sec(1));
+  for (NodeId i = 0; i < 34; ++i) chan.set_tone(i * 2, true);
+  sched.run_until(SimTime::sec(1) + SimTime::us(100));
+  for (NodeId i = 4; i < 34; ++i) chan.set_tone(i * 2, false);
+  sched.run_until(SimTime::sec(1) + SimTime::us(100) + SimTime::ns(240));
+  NodeId listener = 0;
+  std::int64_t sensed = 0;
+  for (auto _ : state) {
+    sensed += chan.sensed_at(listener) ? 1 : 0;
+    listener = listener == 74 ? 0 : listener + 1;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["sensed_share"] =
+      static_cast<double>(sensed) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ToneSensedAt)->Arg(0)->Arg(1);
 
 // Steady-state delivery path: one broadcast through a warm 75-radio medium,
 // with a global allocation counter proving the whole transmit -> fan-out ->

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string_view>
 
@@ -144,6 +145,14 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
   result.status_path = cat(base, "_status.json");
   result.manifest_path = cat(base, "_manifest.json");
   result.aggregate_path = cat(base, "_aggregate_metrics.json");
+  if (!options.out_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(options.out_dir, ec);
+    if (ec) {
+      result.error = cat("campaign: cannot create ", options.out_dir, ": ", ec.message());
+      return result;
+    }
+  }
   const Clock::time_point t0 = Clock::now();
 
   std::vector<CellState> states(cells.size());
@@ -202,6 +211,8 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
     return tallies;
   };
 
+  // False when the file could not be written: the periodic rewrites shrug
+  // that off, the final one reports it.
   const auto write_status = [&] {
     unsigned done_ran = 0, running = 0, failed = 0;
     std::uint64_t events = 0;
@@ -301,7 +312,7 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
       b.ch('}');
     }
     b.lit("\n  ]\n}\n");
-    (void)b.flush_to(result.status_path);
+    const bool written = b.flush_to(result.status_path);
 
     if (options.progress) {
       double fleet_eta = 0.0;
@@ -315,6 +326,7 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
                    events_per_s, fleet_eta);
       std::fflush(stderr);
     }
+    return written;
   };
 
   // ---- frame handling -----------------------------------------------------
@@ -617,6 +629,7 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
   result.events = total_events;
   const bool conservation_ok = cells_conserved && merged_ledger.conservation_ok();
 
+  std::string unwritten;  // last artifact whose write failed
   BufWriter block;
   block.lit("{\"schema\": \"");
   block.str(std::string{kCampaignAggregateSchema});
@@ -640,7 +653,7 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
   {
     BufWriter doc;
     doc.s = to_metrics_json(aggregate, merged_ledger, nullptr, "campaign", block.s);
-    (void)doc.flush_to(result.aggregate_path);
+    if (!doc.flush_to(result.aggregate_path)) unwritten = result.aggregate_path;
   }
 
   // ---- manifest -----------------------------------------------------------
@@ -699,9 +712,9 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
     m.lit("\"}");
   }
   m.lit("\n  ]\n}\n");
-  (void)m.flush_to(result.manifest_path);
-
-  write_status();
+  if (!m.flush_to(result.manifest_path)) unwritten = result.manifest_path;
+  if (!write_status()) unwritten = result.status_path;
+  if (!unwritten.empty()) result.error = cat("campaign: cannot write ", unwritten);
   if (options.progress) std::fprintf(stderr, "\n");
   return result;
 }

@@ -42,7 +42,7 @@ struct CampaignOptions {
   // way worker frames are).
   unsigned workers{4};
   std::string store_dir{"campaign_store"};
-  std::string out_dir{"."};
+  std::string out_dir{"."};  // manifest/aggregate/status; created if missing
   std::string prefix{"campaign"};
   // Path to the run_experiment binary (required when workers > 0).
   std::string worker_binary;
@@ -71,7 +71,9 @@ struct CellOutcome {
 
 struct CampaignResult {
   bool ok{false};      // every cell has a stored result (retries allowed)
-  std::string error;   // setup-level failure ("" when the campaign ran)
+  // Setup-level failure, or an artifact (manifest, aggregate, status) that
+  // could not be written; "" when the campaign ran and wrote all three.
+  std::string error;
   unsigned total{0};
   unsigned cached{0};
   unsigned ran{0};

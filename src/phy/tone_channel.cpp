@@ -25,13 +25,17 @@ ToneChannel::ToneChannel(Scheduler& scheduler, const PhyParams& params, std::str
       index_{params.range_m} {}
 
 void ToneChannel::attach(NodeId id, MobilityModel& mobility) {
-  const auto [it, inserted] = sources_.emplace(id, Source{&mobility, false, false, {}});
+  const auto [it, inserted] = sources_.emplace(id, Source{&mobility, false, false, false, {}});
   if (!inserted) it->second.mobility = &mobility;
   // unordered_map nodes are pointer-stable, so the payload stays valid.
   index_.insert(id, mobility, &it->second);
 }
 
 void ToneChannel::detach(NodeId id) noexcept {
+  const auto it = sources_.find(id);
+  if (it != sources_.end() && it->second.sounding) {
+    std::erase_if(sounding_, [id](const auto& e) { return e.first == id; });
+  }
   index_.remove(id);
   sources_.erase(id);
   edge_subs_.erase(id);
@@ -40,6 +44,12 @@ void ToneChannel::detach(NodeId id) noexcept {
 void ToneChannel::prune(const Source& s) const {
   const SimTime cutoff = scheduler_.now() - kHistoryKeep;
   while (!s.history.empty() && s.history.front().off < cutoff) s.history.pop_front();
+}
+
+void ToneChannel::start_sounding(NodeId id, Source& s) {
+  if (s.sounding) return;
+  s.sounding = true;
+  sounding_.emplace_back(id, &s);
 }
 
 void ToneChannel::sync_soa(SimTime t) const {
@@ -71,6 +81,7 @@ void ToneChannel::set_tone(NodeId id, bool on) {
     if (s.suppressed) ++suppressed_raises_;
     s.history.push_back(Interval{now, SimTime::max()});
     prune(s);
+    start_sounding(id, s);
     soa_.set_flag(id, NodeSoa::kFlagActive, true);
     if (!edge_subs_.empty() && !s.suppressed) fan_out_edge(id, s, now);
   } else {
@@ -127,6 +138,7 @@ void ToneChannel::set_remote_tone(NodeId id, bool on, SimTime when) {
   if (on) {
     s.history.push_back(Interval{when, SimTime::max()});
     prune(s);
+    start_sounding(id, s);
     soa_.set_flag(id, NodeSoa::kFlagActive, true);
     if (!edge_subs_.empty() && !s.suppressed) fan_out_edge(id, s, when);
   } else {
@@ -154,37 +166,38 @@ bool ToneChannel::my_tone_on(NodeId id) const noexcept {
 }
 
 bool ToneChannel::sensed_at(NodeId listener) const {
+  if (sounding_.empty()) return false;  // most backoff slots: nothing to hear
   const auto lit = sources_.find(listener);
   if (lit == sources_.end()) return false;
   const SimTime now = scheduler_.now();
+  // A trailing edge emitted at or before `quiet` has passed every listener
+  // in range, so a source off since then cannot be heard again until it
+  // raises (which lists it anew).
+  const SimTime quiet = now - params_.propagation_delay(params_.range_m);
+  const double r2 = params_.range_m * params_.range_m;
   const Vec2 at = lit->second.mobility->position(now);
-  sync_soa(now);
-  bool sensed = false;
-  // Silent sources (no kFlagActive) are skipped by the packed prefilter
-  // before their position or history is ever touched.
-  soa_.for_each_in_disk<NodeSoa::kFlagActive>(
-      index_, at, params_.range_m, now, [&](std::uint32_t k, double d2) -> bool {
-        if (soa_.ids()[k] == listener) return true;
-        if ((soa_.flags()[k] & NodeSoa::kFlagSuppressed) != 0) return true;
-        const Source& s = *static_cast<const Source*>(soa_.payloads()[k]);
-        prune(s);
-        if (s.history.empty()) {
-          // Fully pruned and off: decay the active bit so later sweeps skip.
-          soa_.flags()[k] &= static_cast<std::uint8_t>(~NodeSoa::kFlagActive);
-          return true;
-        }
-        const SimTime arrival_shift = params_.propagation_delay(std::sqrt(d2));
-        // The signal present at the listener now left the source `prop` ago.
-        const SimTime src_time = now - arrival_shift;
-        for (const Interval& iv : s.history) {
-          if (iv.on <= src_time && src_time < iv.off) {
-            sensed = true;
-            return false;  // stop the walk
-          }
-        }
-        return true;
-      });
-  return sensed;
+  for (std::size_t i = 0; i < sounding_.size();) {
+    const auto [id, src] = sounding_[i];
+    const Source& s = *src;
+    if (!s.on && (s.history.empty() || s.history.back().off <= quiet)) {
+      s.sounding = false;
+      prune(s);
+      sounding_[i] = sounding_.back();
+      sounding_.pop_back();
+      continue;
+    }
+    ++i;
+    if (id == listener || s.suppressed) continue;
+    // The same exact disk test and distance as the SoA sweep's.
+    const double d2 = distance_sq(at, s.mobility->position(now));
+    if (d2 > r2) continue;
+    // The signal present at the listener now left the source `prop` ago.
+    const SimTime src_time = now - params_.propagation_delay(std::sqrt(d2));
+    for (const Interval& iv : s.history) {
+      if (iv.on <= src_time && src_time < iv.off) return true;
+    }
+  }
+  return false;
 }
 
 bool ToneChannel::detected_in_window(NodeId listener, SimTime from, SimTime to) const {

@@ -7,10 +7,13 @@
 // least lambda within this window?" — exactly the semantics of the paper's
 // T_wf_rbt and T_wf_abt checks.
 //
-// Source lookup goes through a uniform-grid SpatialIndex: presence and
-// window queries iterate only the sources within range of the listener
-// instead of every attached node.  Edge-subscriber notifications are
-// scheduled in ascending NodeId order so equal-latency callbacks fire in a
+// Instantaneous presence (sensed_at, sampled once per backoff slot) walks
+// the short *sounding set*: the sources whose tone is on or dropped less
+// than one full-range propagation delay ago — no other source can be heard
+// now.  Window queries and the edge fan-out look back further, so they go
+// through a uniform-grid SpatialIndex and iterate only the sources within
+// range of the listener.  Edge-subscriber notifications are scheduled in
+// ascending NodeId order so equal-latency callbacks fire in a
 // platform-independent order.
 #pragma once
 
@@ -105,17 +108,20 @@ private:
     MobilityModel* mobility;
     bool on{false};
     bool suppressed{false};  // scripted corruption: tone inaudible while set
+    mutable bool sounding{false};  // listed in sounding_
     // mutable: const queries prune expired intervals as they walk sources,
     // so an idle source's history cannot linger past kHistoryKeep.
     mutable std::deque<Interval> history;
   };
 
   void prune(const Source& s) const;
+  // Enter `s` in the sounding set on a raise (no-op if already listed).
+  void start_sounding(NodeId id, Source& s);
   // Bring the SoA mirror up to date with the index and re-seed the per-lane
   // tone flags after a rebuild.  kFlagActive means "this source could be
   // audible": tone on now, or history not yet pruned empty.  The bit decays
-  // lazily — queries clear it when they find a pruned-empty history — so the
-  // sensing sweeps prefilter silent sources without walking their deques.
+  // lazily — window queries clear it when they find a pruned-empty history —
+  // so the SoA sweeps prefilter silent sources without walking their deques.
   void sync_soa(SimTime t) const;
   [[nodiscard]] static std::uint8_t source_flags(const Source& s) noexcept {
     std::uint8_t f = 0;
@@ -136,6 +142,10 @@ private:
 
   std::unordered_map<NodeId, Source> sources_;
   std::unordered_map<NodeId, EdgeCallback> edge_subs_;
+  // Sources that may still be heard somewhere: tone on, or dropped less than
+  // propagation_delay(range_m) ago.  Entered on raises, left on detach;
+  // sensed_at drops the stale entries it walks over.  Unordered.
+  mutable std::vector<std::pair<NodeId, Source*>> sounding_;
   EdgeHook edge_hook_;
   mutable SpatialIndex index_;
   mutable NodeSoa soa_;                             // packed mirror of index_

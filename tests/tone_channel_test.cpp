@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
+
+#include "sim/rng.hpp"
+#include "test_util.hpp"
 
 namespace rmacsim {
 namespace {
@@ -297,6 +305,180 @@ TEST_F(ToneTest, WindowQueryUsesCurrentGeometry) {
   // docs/simulator_internals.md).
   sched_.run_until(25_s);
   EXPECT_FALSE(chan_.detected_in_window(0, 5_s, 5_s + 100_us));
+}
+
+TEST_F(ToneTest, SensedAtEdgesAtExactlyFullRange) {
+  // A listener at exactly range_m hears the tone from on + prop(range_m) up
+  // to, but not including, off + prop(range_m); a hair farther, never.
+  add(0, {0, 0});
+  add(1, {phy_.range_m, 0});
+  add(2, {-std::nextafter(phy_.range_m, 1e9), 0});
+  const SimTime edge = phy_.propagation_delay(phy_.range_m);
+  sched_.run_until(1_us);
+  chan_.set_tone(0, true);
+  const SimTime on = sched_.now();
+  sched_.run_until(on + edge - SimTime::ns(1));
+  EXPECT_FALSE(chan_.sensed_at(1));
+  sched_.run_until(on + edge);
+  EXPECT_TRUE(chan_.sensed_at(1));
+  sched_.run_until(on + 10_us);
+  EXPECT_FALSE(chan_.sensed_at(2));
+  chan_.set_tone(0, false);
+  const SimTime off = sched_.now();
+  sched_.run_until(off + edge - SimTime::ns(1));
+  EXPECT_TRUE(chan_.sensed_at(1));
+  sched_.run_until(off + edge);  // off == now - propagation_delay(range_m)
+  EXPECT_FALSE(chan_.sensed_at(1));
+  // The silent source raises again: heard again after the same delay.
+  chan_.set_tone(0, true);
+  sched_.run_until(sched_.now() + edge);
+  EXPECT_TRUE(chan_.sensed_at(1));
+}
+
+// sensed_at against a brute-force reference the test keeps itself: every
+// attached source, exact positions from its mobility model, and the interval
+// rule — a tone on during [on, off) at the source is heard at distance
+// d <= range_m during [on + prop(d), off + prop(d)).  Nothing is pruned.
+struct RefSource {
+  MobilityModel* mobility{nullptr};  // null while detached
+  bool remote{false};                // driven by set_remote_tone (a phantom)
+  bool on{false};
+  bool suppressed{false};
+  SimTime last_edge{SimTime::zero()};
+  std::vector<std::pair<SimTime, SimTime>> intervals;  // [on, off)
+};
+
+bool reference_sensed(const std::vector<RefSource>& ref, NodeId listener, SimTime now,
+                      const PhyParams& phy) {
+  if (ref[listener].mobility == nullptr) return false;
+  const Vec2 at = ref[listener].mobility->position(now);
+  for (NodeId id = 0; id < ref.size(); ++id) {
+    const RefSource& s = ref[id];
+    if (id == listener || s.mobility == nullptr || s.suppressed) continue;
+    const double d2 = distance_sq(at, s.mobility->position(now));
+    if (d2 > phy.range_m * phy.range_m) continue;
+    const SimTime emitted = now - phy.propagation_delay(std::sqrt(d2));
+    for (const auto& [on, off] : s.intervals) {
+      if (on <= emitted && emitted < off) return true;
+    }
+  }
+  return false;
+}
+
+TEST(ToneProperty, SensedAtMatchesBruteForceReference) {
+  constexpr NodeId kNodes = 16;
+  std::uint64_t heard = 0;
+  std::uint64_t silent = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(test::seed_trace(seed));
+    Rng rng{seed};
+    Scheduler sched;
+    PhyParams phy;
+    ToneChannel chan{sched, phy, "RBT"};
+    // 0..5 stationary, 6..11 random waypoint, 12..15 phantoms fed by
+    // backdated set_remote_tone, half of them moving.  Nodes 0..3 form a
+    // rhombus of 3-4-5 triangles with four pairs exactly range_m = 75 m
+    // apart.  The area is about two ranges wide, so mobile pairs keep
+    // crossing the range boundary.
+    ASSERT_EQ(phy.range_m, 75.0);
+    const Vec2 rhombus[] = {{10.0, 20.0}, {85.0, 20.0}, {55.0, 80.0}, {130.0, 80.0}};
+    const RandomWaypointParams rwp{Rect{160.0, 100.0}, 5.0, 40.0, SimTime::zero()};
+    std::vector<std::unique_ptr<MobilityModel>> mobs;
+    std::vector<RefSource> ref(kNodes);
+    for (NodeId id = 0; id < kNodes; ++id) {
+      const Vec2 start =
+          id < 4 ? rhombus[id] : Vec2{rng.uniform(0.0, 160.0), rng.uniform(0.0, 100.0)};
+      if (id < 6 || (id >= 12 && id % 2 == 0)) {
+        mobs.push_back(std::make_unique<StationaryMobility>(start));
+      } else {
+        mobs.push_back(std::make_unique<RandomWaypointMobility>(start, rwp, rng.fork(id)));
+      }
+      ref[id].mobility = mobs.back().get();
+      ref[id].remote = id >= 12;
+      chan.attach(id, *mobs.back());
+    }
+    const auto pick = [&](auto&& want) -> NodeId {
+      for (int tries = 0; tries < 64; ++tries) {
+        const auto id = static_cast<NodeId>(rng.uniform_int(std::uint64_t{kNodes}));
+        if (want(ref[id])) return id;
+      }
+      return kNodes;
+    };
+    SimTime last_drop = SimTime::max();
+    for (int step = 0; step < 3000; ++step) {
+      const SimTime now = sched.now();
+      const std::uint64_t op = rng.uniform_int(std::uint64_t{100});
+      if (op < 30) {
+        const NodeId id = pick([](const RefSource& s) { return s.mobility && !s.remote; });
+        if (id == kNodes) continue;
+        RefSource& s = ref[id];
+        s.on = !s.on;
+        chan.set_tone(id, s.on);
+        if (s.on) {
+          s.intervals.emplace_back(now, SimTime::max());
+        } else {
+          s.intervals.back().second = now;
+          last_drop = now;
+        }
+      } else if (op < 45) {
+        const NodeId id = pick([](const RefSource& s) { return s.mobility && s.remote; });
+        if (id == kNodes) continue;
+        RefSource& s = ref[id];
+        const std::int64_t slack = std::min<std::int64_t>(2000, (now - s.last_edge).nanoseconds());
+        const SimTime when = now - SimTime::ns(rng.uniform_int(std::int64_t{0}, slack));
+        s.on = !s.on;
+        s.last_edge = when;
+        chan.set_remote_tone(id, s.on, when);
+        if (s.on) {
+          s.intervals.emplace_back(when, SimTime::max());
+        } else {
+          s.intervals.back().second = when;
+          last_drop = when;
+        }
+      } else if (op < 50) {
+        const NodeId id = pick([](const RefSource& s) { return s.mobility != nullptr; });
+        if (id == kNodes) continue;
+        ref[id].suppressed = !ref[id].suppressed;
+        chan.set_suppressed(id, ref[id].suppressed);
+      } else if (op < 54) {
+        const NodeId id = pick([](const RefSource& s) { return s.mobility != nullptr; });
+        if (id == kNodes) continue;
+        chan.detach(id);
+        ref[id] = RefSource{nullptr, ref[id].remote, false, false, now, {}};
+      } else if (op < 60) {
+        const NodeId id = pick([](const RefSource& s) { return s.mobility == nullptr; });
+        if (id == kNodes) continue;
+        ref[id].mobility = mobs[id].get();
+        chan.attach(id, *mobs[id]);
+      } else {
+        // Mostly sub-microsecond steps across the propagation edges, some
+        // longer, a few long enough for the walkers to move; and queries
+        // exactly at (or 1 ns before) the last drop's full-range edge.
+        const std::uint64_t kind = rng.uniform_int(std::uint64_t{50});
+        const SimTime edge = last_drop == SimTime::max()
+                                 ? now
+                                 : last_drop + phy.propagation_delay(phy.range_m);
+        SimTime next = now + SimTime::ns(rng.uniform_int(std::int64_t{1}, std::int64_t{400}));
+        if (kind == 0) next = now + SimTime::ns(rng.uniform_int(std::int64_t{1}, 300'000'000));
+        if (kind >= 1 && kind < 6) next = now + SimTime::ns(rng.uniform_int(std::int64_t{1}, 50'000));
+        if (kind >= 6 && kind < 20 && edge - SimTime::ns(kind % 2) > now) {
+          next = edge - SimTime::ns(kind % 2);
+        }
+        sched.run_until(next);
+      }
+      for (NodeId listener = 0; listener <= kNodes; ++listener) {
+        const bool expected =
+            listener < kNodes && reference_sensed(ref, listener, sched.now(), phy);
+        ASSERT_EQ(chan.sensed_at(listener), expected)
+            << "listener " << listener << " at " << sched.now().nanoseconds() << " ns, step "
+            << step;
+        ++(expected ? heard : silent);
+      }
+    }
+  }
+  // Both outcomes are exercised, not just the trivial one.
+  EXPECT_GT(heard, 10'000u);
+  EXPECT_GT(silent, 10'000u);
 }
 
 }  // namespace
